@@ -1,648 +1,418 @@
 //! `expts` — regenerate the paper's tables and figures from the command
-//! line, and time the batched surface-response engine.
+//! line, and run the bench suites.
 //!
 //! ```text
-//! expts                               # list experiments
-//! expts all                           # run everything (slow; fig15/21 sweep full grids)
-//! expts fig16 alg1                    # run a selection
-//! expts --bench-json [path] [--quick] # time the engine, write a JSON summary
-//! expts --fleet [path] [--quick]      # time the fleet engine, write BENCH_PR3-style JSON
-//! expts --panels [path] [--quick]     # time the panel array + many-fleet server (BENCH_PR4)
-//! expts --mobility [path] [--quick]   # time the mobility simulator, warm vs cold (BENCH_PR5)
-//! expts --bench-all [dir] [--quick]   # regenerate every BENCH_PR*.json in one run
-//! expts --calibrate-fig20 [samples]   # sweep link calibration knobs vs the paper's 10 dB gap
-//! expts --scenario <name> [path]      # simulate a room from the scenario zoo, write JSON
-//! expts --chaos [room] [path]         # sweep fault rates over a room, write the degradation curve
-//! expts --sharded [path] [--quick]    # time the sharded hot loops: SoA grid, arena ticks, scaling (BENCH_PR8)
-//! expts --joint [path] [--quick]      # joint vs independent multi-surface serving on the zoo (BENCH_PR9)
-//! expts --matrix [base] [--quick] [--rooms a,b] [--policy a,b] [--fleets a,b]
-//!                [--devices a,b] [--threads a,b] [--shards a,b]
-//!                                     # run the serving cross product, write <base>.{md,csv,json}
-//! expts --trace <room> [path]         # capture a deterministic JSONL event log of a room
-//! expts --trace-overhead [room] [path] # gate ring-recorder overhead vs the null recorder
+//! expts                  # usage: every mode, experiment and scenario
+//! expts all              # run every experiment (slow; fig15/21 sweep full grids)
+//! expts fig16 alg1       # run a selection
+//! expts <mode> [args]    # run one bench suite, e.g. `expts --fleet --quick`
 //! ```
 //!
-//! `--bench-json` writes a timing summary (default
-//! `target/bench-report.json`, untracked; the committed reference is
-//! `BENCH_PR2.json`) comparing naive and batched evaluation and exits
-//! non-zero when the batched engine falls below the regression floor —
-//! the CI perf smoke. `--fleet` does the same for the 32-device
-//! fleet-serving engine (shared-plan batch vs naive per-device loop;
-//! committed reference `BENCH_PR3.json`). `--quick` trims the sample
-//! budget for fast smoke runs.
+//! Each bench mode in [`MODES`] maps one flag to a suite in
+//! `llama_bench` that returns a [`Report`]. Every mode then takes the
+//! same path: print the report's summary, write its artifacts (JSON;
+//! `--matrix` adds markdown and CSV, `--trace` the JSONL event log,
+//! `--bench-all` writes every `BENCH_PR*.json`) and exit non-zero when
+//! any bound in the report fails — the CI smokes. `--quick` trims the
+//! sample budget for fast smoke runs. Default outputs land under
+//! `target/` (untracked); the committed references are the
+//! `BENCH_PR*.json` files at the repository root.
 
 use std::env;
 use std::process::ExitCode;
 
+use llama_bench::matrix::{MatrixAxes, POLICIES};
+use llama_bench::report::Report;
+use llama_bench::{chaos, joint, matrix, perf, scenario, trace, SEED};
+
+/// One bench mode: its flag, its arguments, and what it runs.
+struct Mode {
+    flag: &'static str,
+    /// Argument syntax, for the usage text.
+    args: &'static str,
+    /// What the mode does, for the usage text.
+    about: &'static str,
+    /// Fewest and most positional arguments.
+    positionals: (usize, usize),
+    /// Switches the mode accepts besides its own flag.
+    switches: &'static [&'static str],
+    /// Options that take a value.
+    options: &'static [&'static str],
+    run: Run,
+}
+
+/// What a mode runs.
+enum Run {
+    /// A timing suite (see [`bench()`]).
+    Bench {
+        run: fn(bool) -> Report,
+        out: &'static str,
+        reference: &'static str,
+    },
+    /// A gated suite: its reports and the files to write.
+    Suite(fn(&Opts) -> Result<Vec<Artifact>, String>),
+    /// An ungated text report, printed only.
+    Text(fn(&Opts) -> Result<String, String>),
+}
+
+/// A report plus the `(path, body)` files written for it.
+struct Artifact {
+    report: Report,
+    files: Vec<(String, String)>,
+}
+
+impl Artifact {
+    /// The report as one JSON file.
+    fn json(path: String, report: Report) -> Self {
+        let body = report.to_json();
+        Self {
+            report,
+            files: vec![(path, body)],
+        }
+    }
+}
+
+/// A mode's parsed arguments.
+#[derive(Default)]
+struct Opts<'a> {
+    positionals: Vec<&'a str>,
+    switches: Vec<&'a str>,
+    options: Vec<(&'a str, &'a str)>,
+}
+
+impl Opts<'_> {
+    fn quick(&self) -> bool {
+        self.switches.contains(&"--quick")
+    }
+
+    /// Positional `i`, or `default`.
+    fn arg(&self, i: usize, default: &str) -> String {
+        self.positionals
+            .get(i)
+            .copied()
+            .unwrap_or(default)
+            .to_string()
+    }
+}
+
+const QUICK: &[&str] = &["--quick"];
+const MATRIX_AXES: &[&str] = &[
+    "--rooms",
+    "--policy",
+    "--fleets",
+    "--devices",
+    "--threads",
+    "--shards",
+];
+
+/// A timing-suite mode: `<flag> [path] [--quick]`, running `run` and
+/// writing its JSON to the path (default `out`); `reference` names the
+/// committed run at the repository root that `--bench-all` regenerates.
+const fn bench(
+    flag: &'static str,
+    about: &'static str,
+    run: fn(bool) -> Report,
+    out: &'static str,
+    reference: &'static str,
+) -> Mode {
+    Mode {
+        flag,
+        args: "[path] [--quick]",
+        about,
+        positionals: (0, 1),
+        switches: QUICK,
+        options: &[],
+        run: Run::Bench {
+            run,
+            out,
+            reference,
+        },
+    }
+}
+
+/// Every bench mode. When several flags are given, the first listed
+/// here wins (so `--chaos <room> --joint` is the chaos sweep with its
+/// joint smoke, not the joint suite).
+const MODES: [Mode; 13] = [
+    Mode {
+        flag: "--trace-overhead",
+        args: "[room] [path]",
+        about: "gate ring-recorder overhead vs the null recorder",
+        positionals: (0, 2),
+        switches: &[],
+        options: &[],
+        run: Run::Suite(overhead),
+    },
+    Mode {
+        flag: "--trace",
+        args: "<room> [path]",
+        about: "capture a deterministic JSONL event log of a room",
+        positionals: (1, 2),
+        switches: &[],
+        options: &[],
+        run: Run::Suite(trace),
+    },
+    Mode {
+        flag: "--scenario",
+        args: "<name> [path]",
+        about: "simulate a room from the scenario zoo",
+        positionals: (1, 2),
+        switches: &[],
+        options: &[],
+        run: Run::Suite(scenario),
+    },
+    Mode {
+        flag: "--chaos",
+        args: "[room] [path] [--joint]",
+        about: "sweep fault rates over a room (plus the joint smoke)",
+        positionals: (0, 2),
+        switches: &["--joint"],
+        options: &[],
+        run: Run::Suite(chaos),
+    },
+    Mode {
+        flag: "--matrix",
+        args: "[base] [--quick] [--rooms a,b] [--policy a,b] [--fleets a,b] [--devices a,b] \
+               [--threads a,b] [--shards a,b]",
+        about: "run the serving cross product, write <base>.{md,csv,json}",
+        positionals: (0, 1),
+        switches: QUICK,
+        options: MATRIX_AXES,
+        run: Run::Suite(matrix),
+    },
+    bench(
+        "--sharded",
+        "SoA grid, arena ticks and thread scaling",
+        perf::run_sharded,
+        "target/sharded-report.json",
+        "BENCH_PR8.json",
+    ),
+    bench(
+        "--joint",
+        "joint vs independent multi-surface serving on the zoo",
+        joint::run_joint,
+        "target/joint-report.json",
+        "BENCH_PR9.json",
+    ),
+    Mode {
+        flag: "--bench-all",
+        args: "[dir] [--quick]",
+        about: "regenerate every BENCH_PR*.json in one run",
+        positionals: (0, 1),
+        switches: QUICK,
+        options: &[],
+        run: Run::Suite(bench_all),
+    },
+    bench(
+        "--mobility",
+        "mobility simulator, warm vs cold",
+        perf::run_mobility,
+        "target/mobility-report.json",
+        "BENCH_PR5.json",
+    ),
+    Mode {
+        flag: "--calibrate-fig20",
+        args: "[samples]",
+        about: "sweep link calibration knobs vs the paper's 10 dB gap",
+        positionals: (0, 1),
+        switches: &[],
+        options: &[],
+        run: Run::Text(calibrate),
+    },
+    bench(
+        "--panels",
+        "panel array + many-fleet server",
+        perf::run_panels,
+        "target/panel-report.json",
+        "BENCH_PR4.json",
+    ),
+    bench(
+        "--fleet",
+        "fleet engine, shared plan vs naive loop",
+        perf::run_fleet,
+        "target/fleet-report.json",
+        "BENCH_PR3.json",
+    ),
+    bench(
+        "--bench-json",
+        "batched surface-response engine vs naive",
+        perf::run,
+        "target/bench-report.json",
+        "BENCH_PR2.json",
+    ),
+];
+
+fn bench_all(o: &Opts) -> Result<Vec<Artifact>, String> {
+    let dir = o.arg(0, ".");
+    let mut benches: Vec<_> = MODES
+        .iter()
+        .filter_map(|mode| match mode.run {
+            Run::Bench { run, reference, .. } => Some((reference, run)),
+            _ => None,
+        })
+        .collect();
+    benches.sort_by_key(|&(reference, _)| reference);
+    Ok(benches
+        .into_iter()
+        .map(|(reference, run)| Artifact::json(format!("{dir}/{reference}"), run(o.quick())))
+        .collect())
+}
+
+fn scenario(o: &Opts) -> Result<Vec<Artifact>, String> {
+    let name = o.positionals[0];
+    let path = o.arg(1, &format!("target/scenario-{name}.json"));
+    Ok(vec![Artifact::json(path, scenario::run(name, SEED)?)])
+}
+
+fn chaos(o: &Opts) -> Result<Vec<Artifact>, String> {
+    let room = o.arg(0, "office-floor");
+    let path = o.arg(1, &format!("target/chaos-{room}.json"));
+    let joint = o.switches.contains(&"--joint");
+    Ok(vec![Artifact::json(path, chaos::run(&room, SEED, joint)?)])
+}
+
+fn trace(o: &Opts) -> Result<Vec<Artifact>, String> {
+    let room = o.positionals[0];
+    let path = o.arg(1, &format!("target/trace-{room}.jsonl"));
+    let (report, jsonl) = trace::run(room, SEED)?;
+    let header = format!("{}.json", path.trim_end_matches(".jsonl"));
+    let body = report.to_json();
+    Ok(vec![Artifact {
+        report,
+        files: vec![(path, jsonl), (header, body)],
+    }])
+}
+
+fn overhead(o: &Opts) -> Result<Vec<Artifact>, String> {
+    let room = o.arg(0, "office-floor");
+    let path = o.arg(1, &format!("target/trace-overhead-{room}.json"));
+    Ok(vec![Artifact::json(
+        path,
+        trace::run_overhead(&room, SEED, 3)?,
+    )])
+}
+
+fn matrix(o: &Opts) -> Result<Vec<Artifact>, String> {
+    let mut axes = MatrixAxes::default_axes();
+    for &(flag, raw) in &o.options {
+        match flag {
+            "--rooms" => {
+                axes.rooms = MatrixAxes::parse_names(flag, raw, &MatrixAxes::known_rooms())?
+            }
+            "--policy" => axes.policies = MatrixAxes::parse_names(flag, raw, &POLICIES)?,
+            "--fleets" => axes.fleets = MatrixAxes::parse_list(flag, raw)?,
+            "--devices" => axes.devices = MatrixAxes::parse_list(flag, raw)?,
+            "--threads" => axes.threads = MatrixAxes::parse_list(flag, raw)?,
+            _ => axes.shards = MatrixAxes::parse_list(flag, raw)?,
+        }
+    }
+    let base = o.arg(0, "target/matrix");
+    let report = matrix::run(axes, o.quick())?;
+    let files = vec![
+        (format!("{base}.md"), report.to_markdown()),
+        (format!("{base}.csv"), report.to_csv()),
+        (format!("{base}.json"), report.to_json()),
+    ];
+    Ok(vec![Artifact { report, files }])
+}
+
+fn calibrate(o: &Opts) -> Result<String, String> {
+    let samples = match o.positionals.first() {
+        None => 480,
+        Some(n) => match n.parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => return Err("--calibrate-fig20 takes an optional positive sample count".into()),
+        },
+    };
+    Ok(llama_bench::calibrate::report(SEED, samples))
+}
+
+/// Splits `args` into `mode`'s positionals, switches and options,
+/// rejecting anything else.
+fn parse<'a>(mode: &Mode, args: &'a [String]) -> Result<Opts<'a>, String> {
+    let mut opts = Opts::default();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if arg == mode.flag {
+            continue;
+        } else if mode.options.contains(&arg) {
+            let value = args
+                .next()
+                .ok_or_else(|| format!("{arg} needs a comma-separated list"))?;
+            opts.options.push((arg, value));
+        } else if mode.switches.contains(&arg) {
+            opts.switches.push(arg);
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag {arg} in {} mode", mode.flag));
+        } else if llama_bench::ALL_IDS.contains(&arg) || arg == "all" {
+            return Err(format!(
+                "experiment ids cannot be combined with {}; got {arg}",
+                mode.flag
+            ));
+        } else {
+            opts.positionals.push(arg);
+        }
+    }
+    let (fewest, most) = mode.positionals;
+    if !(fewest..=most).contains(&opts.positionals.len()) {
+        return Err(format!("usage: expts {} {}", mode.flag, mode.args));
+    }
+    Ok(opts)
+}
+
+/// Prints each report's summary, writes its files, and fails when any
+/// report's bounds do not all hold.
+fn finish(artifacts: Vec<Artifact>) -> ExitCode {
+    let mut pass = true;
+    for Artifact { report, files } in artifacts {
+        print!("{}", report.summary());
+        for (path, body) in files {
+            if let Err(e) = std::fs::write(&path, body) {
+                eprintln!("error: cannot write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            println!("wrote {path}");
+        }
+        for failure in report.failures() {
+            eprintln!("error: {} gate failed: {failure}", report.suite);
+        }
+        pass &= report.passes();
+    }
+    if pass {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!(
-            "usage: expts <id>... | all | --bench-json [path] [--quick] \
-             | --fleet [path] [--quick] | --panels [path] [--quick] \
-             | --mobility [path] [--quick] | --bench-all [dir] [--quick] \
-             | --calibrate-fig20 [samples] | --scenario <name> [path] \
-             | --chaos [room] [path] [--joint] | --sharded [path] [--quick] \
-             | --joint [path] [--quick] | --trace <room> [path] \
-             | --trace-overhead [room] [path] \
-             | --matrix [base] [--quick] [--rooms a,b] [--policy a,b] \
-             [--fleets a,b] [--devices a,b] [--threads a,b] [--shards a,b]"
-        );
+        eprintln!("usage: expts <id>... | all | <mode>");
+        for mode in &MODES {
+            eprintln!("  {} {}\n      {}", mode.flag, mode.args, mode.about);
+        }
         eprintln!("experiments: {}", llama_bench::ALL_IDS.join(", "));
         eprintln!("scenarios: {}", llama_core::rooms::SCENARIOS.join(", "));
         return ExitCode::SUCCESS;
     }
 
-    if args.iter().any(|a| a == "--trace-overhead") {
-        let extras: Vec<&String> = args.iter().filter(|a| *a != "--trace-overhead").collect();
-        if extras.len() > 2 || extras.iter().any(|a| a.starts_with("--")) {
-            eprintln!(
-                "error: --trace-overhead takes an optional room name and an optional \
-                 output path; known rooms: {}",
-                llama_core::rooms::SCENARIOS.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
-        let room = extras.first().map(|s| s.as_str()).unwrap_or("office-floor");
-        let path = extras
-            .get(1)
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| format!("target/trace-overhead-{room}.json"));
-        let report = match llama_bench::trace::OverheadReport::run(room, llama_bench::SEED, 3) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("{}", report.summary());
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "error: ring recorder overhead exceeded {:.0}% over the null recorder",
-                (llama_bench::trace::OVERHEAD_CEILING - 1.0) * 100.0
-            );
+    if let Some(mode) = MODES.iter().find(|m| args.iter().any(|a| a == m.flag)) {
+        let outcome = parse(mode, &args).and_then(|opts| match mode.run {
+            Run::Bench { run, out, .. } => Ok(finish(vec![Artifact::json(
+                opts.arg(0, out),
+                run(opts.quick()),
+            )])),
+            Run::Suite(run) => run(&opts).map(finish),
+            Run::Text(run) => run(&opts).map(|text| {
+                print!("{text}");
+                ExitCode::SUCCESS
+            }),
+        });
+        return outcome.unwrap_or_else(|e| {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--trace") {
-        let extras: Vec<&String> = args.iter().filter(|a| *a != "--trace").collect();
-        if extras.is_empty() || extras.len() > 2 || extras.iter().any(|a| a.starts_with("--")) {
-            eprintln!(
-                "error: --trace takes a room name and at most one output path; \
-                 known rooms: {}",
-                llama_core::rooms::SCENARIOS.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
-        let room = extras[0].as_str();
-        let path = extras
-            .get(1)
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| format!("target/trace-{room}.jsonl"));
-        let report = match llama_bench::trace::TraceReport::run(room, llama_bench::SEED) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("{}", report.summary());
-        if let Err(e) = std::fs::write(&path, &report.jsonl) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        let header = format!("{}.json", path.trim_end_matches(".jsonl"));
-        if let Err(e) = std::fs::write(&header, report.to_json()) {
-            eprintln!("error: cannot write {header}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {header}");
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "error: trace gate failed — the two same-seed captures diverged or an \
-                 event family is missing from the log"
-            );
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--scenario") {
-        let extras: Vec<&String> = args.iter().filter(|a| *a != "--scenario").collect();
-        if extras.is_empty() || extras.len() > 2 || extras.iter().any(|a| a.starts_with("--")) {
-            eprintln!(
-                "error: --scenario takes a scenario name and at most one output path; \
-                 known scenarios: {}",
-                llama_core::rooms::SCENARIOS.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
-        let name = extras[0].as_str();
-        let path = extras
-            .get(1)
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| format!("target/scenario-{name}.json"));
-        let report = match llama_bench::scenario::ScenarioReport::run(name, llama_bench::SEED) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("{}", report.summary());
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("error: the room never served (zero duty or non-finite power)");
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--chaos") {
-        let joint = args.iter().any(|a| a == "--joint");
-        let extras: Vec<&String> = args
-            .iter()
-            .filter(|a| *a != "--chaos" && *a != "--joint")
-            .collect();
-        if extras.len() > 2 || extras.iter().any(|a| a.starts_with("--")) {
-            eprintln!(
-                "error: --chaos takes an optional room name, an optional output path \
-                 and the --joint smoke flag; known rooms: {}",
-                llama_core::rooms::SCENARIOS.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
-        let room = extras.first().map(|s| s.as_str()).unwrap_or("office-floor");
-        let path = extras
-            .get(1)
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| format!("target/chaos-{room}.json"));
-        if joint {
-            match llama_bench::chaos::joint_smoke(room, llama_bench::SEED) {
-                Ok(line) => println!("{line}"),
-                Err(e) => {
-                    eprintln!("error: joint smoke failed — {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let report = match llama_bench::chaos::ChaosReport::run(room, llama_bench::SEED) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("{}", report.summary());
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "error: chaos gate failed — zero-fault run not bitwise identical, \
-                 or the room starved below the duty floor at <= 10% faults"
-            );
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--matrix") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let mut axes = llama_bench::matrix::MatrixAxes::default_axes();
-        let mut base: Option<String> = None;
-        let mut i = 0;
-        while i < args.len() {
-            let arg = args[i].as_str();
-            match arg {
-                "--matrix" | "--quick" => {}
-                "--fleets" | "--devices" | "--threads" | "--shards" => {
-                    i += 1;
-                    let Some(raw) = args.get(i) else {
-                        eprintln!("error: {arg} needs a comma-separated list");
-                        return ExitCode::FAILURE;
-                    };
-                    let list = match llama_bench::matrix::MatrixAxes::parse_list(arg, raw) {
-                        Ok(list) => list,
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    match arg {
-                        "--fleets" => axes.fleets = list,
-                        "--devices" => axes.devices = list,
-                        "--threads" => axes.threads = list,
-                        _ => axes.shards = list,
-                    }
-                }
-                "--rooms" | "--policy" => {
-                    i += 1;
-                    let Some(raw) = args.get(i) else {
-                        eprintln!("error: {arg} needs a comma-separated name list");
-                        return ExitCode::FAILURE;
-                    };
-                    let known = llama_bench::matrix::MatrixAxes::known_rooms();
-                    let allowed: &[&str] = if arg == "--rooms" {
-                        &known
-                    } else {
-                        &llama_bench::matrix::POLICIES
-                    };
-                    let list = match llama_bench::matrix::MatrixAxes::parse_names(arg, raw, allowed)
-                    {
-                        Ok(list) => list,
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    if arg == "--rooms" {
-                        axes.rooms = list;
-                    } else {
-                        axes.policies = list;
-                    }
-                }
-                _ if arg.starts_with("--") => {
-                    eprintln!("error: unknown flag {arg} in --matrix mode");
-                    return ExitCode::FAILURE;
-                }
-                _ => {
-                    if base.replace(arg.to_string()).is_some() {
-                        eprintln!("error: --matrix takes at most one output base path");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            i += 1;
-        }
-        let base = base.unwrap_or_else(|| "target/matrix".to_string());
-        println!(
-            "serving matrix: {} cells ({} rooms x {} policies x {} fleets x {} devices \
-             x {} threads x {} shards)",
-            axes.cells(),
-            axes.rooms.len(),
-            axes.policies.len(),
-            axes.fleets.len(),
-            axes.devices.len(),
-            axes.threads.len(),
-            axes.shards.len()
-        );
-        let report = llama_bench::matrix::MatrixReport::run(axes, quick);
-        print!("{}", report.to_markdown());
-        for (ext, body) in [
-            ("md", report.to_markdown()),
-            ("csv", report.to_csv()),
-            ("json", report.to_json()),
-        ] {
-            let path = format!("{base}.{ext}");
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("error: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path}");
-        }
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("error: a matrix cell produced a non-finite wall-clock");
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--sharded") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let extras: Vec<&String> = args
-            .iter()
-            .filter(|a| *a != "--sharded" && *a != "--quick")
-            .collect();
-        if extras.len() > 1 || extras.iter().any(|a| a.starts_with("--")) {
-            eprintln!(
-                "error: --sharded takes at most one output path; got: {}",
-                extras
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        let path = extras
-            .first()
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "target/sharded-report.json".to_string());
-        let report = llama_bench::perf::run_sharded(quick);
-        print!("{}", report.summary());
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "error: SoA grid or arena tick below its speedup floor, churn \
-                 equivalence broken, or thread scaling under the efficiency floor"
-            );
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--joint") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let extras: Vec<&String> = args
-            .iter()
-            .filter(|a| *a != "--joint" && *a != "--quick")
-            .collect();
-        if extras.len() > 1 || extras.iter().any(|a| a.starts_with("--")) {
-            eprintln!(
-                "error: --joint takes at most one output path; got: {}",
-                extras
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        let path = extras
-            .first()
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "target/joint-report.json".to_string());
-        let report = llama_bench::joint::run_joint(quick);
-        print!("{}", report.summary());
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "error: joint search regressed below its independent start, lifted no \
-                 zoo room, or the coupled evaluation exceeded its slowdown ceiling"
-            );
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--bench-all") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let extras: Vec<&String> = args
-            .iter()
-            .filter(|a| *a != "--bench-all" && *a != "--quick")
-            .collect();
-        if extras.len() > 1 || extras.iter().any(|a| a.starts_with("--")) {
-            eprintln!("error: --bench-all takes at most one output directory");
-            return ExitCode::FAILURE;
-        }
-        let dir = extras.first().map(|s| s.as_str()).unwrap_or(".");
-        let mut all_pass = true;
-        let mut write = |name: &str, body: String, pass: bool| -> bool {
-            let path = format!("{dir}/{name}");
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("error: cannot write {path}: {e}");
-                return false;
-            }
-            println!("wrote {path}");
-            all_pass &= pass;
-            true
-        };
-        let engine = llama_bench::perf::run(quick);
-        print!("{}", engine.summary());
-        if !write("BENCH_PR2.json", engine.to_json(), engine.passes()) {
-            return ExitCode::FAILURE;
-        }
-        let fleet = llama_bench::perf::run_fleet(quick);
-        print!("{}", fleet.summary());
-        if !write("BENCH_PR3.json", fleet.to_json(), fleet.passes()) {
-            return ExitCode::FAILURE;
-        }
-        let panels = llama_bench::perf::run_panels(quick);
-        print!("{}", panels.summary());
-        if !write("BENCH_PR4.json", panels.to_json(), panels.passes()) {
-            return ExitCode::FAILURE;
-        }
-        let mobility = llama_bench::perf::run_mobility(quick);
-        print!("{}", mobility.summary());
-        if !write("BENCH_PR5.json", mobility.to_json(), mobility.passes()) {
-            return ExitCode::FAILURE;
-        }
-        let sharded = llama_bench::perf::run_sharded(quick);
-        print!("{}", sharded.summary());
-        if !write("BENCH_PR8.json", sharded.to_json(), sharded.passes()) {
-            return ExitCode::FAILURE;
-        }
-        let joint = llama_bench::joint::run_joint(quick);
-        print!("{}", joint.summary());
-        if !write("BENCH_PR9.json", joint.to_json(), joint.passes()) {
-            return ExitCode::FAILURE;
-        }
-        return if all_pass {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("error: at least one bench fell below its regression floor");
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--mobility") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let extras: Vec<&String> = args
-            .iter()
-            .filter(|a| *a != "--mobility" && *a != "--quick")
-            .collect();
-        if extras.len() > 1 || extras.iter().any(|a| a.starts_with("--")) {
-            eprintln!(
-                "error: --mobility takes at most one output path; got: {}",
-                extras
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        let path = extras
-            .first()
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "target/mobility-report.json".to_string());
-        let report = llama_bench::perf::run_mobility(quick);
-        print!("{}", report.summary());
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "error: warm-start below the speedup floor or zero-motion \
-                 equivalence broken — regression"
-            );
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--calibrate-fig20") {
-        let extras: Vec<&String> = args.iter().filter(|a| *a != "--calibrate-fig20").collect();
-        let samples = match extras.as_slice() {
-            [] => 480,
-            [n] => match n.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    eprintln!("error: --calibrate-fig20 takes an optional positive sample count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            _ => {
-                eprintln!("error: --calibrate-fig20 takes at most one sample count");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!(
-            "{}",
-            llama_bench::calibrate::report(llama_bench::SEED, samples)
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if args.iter().any(|a| a == "--panels") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let extras: Vec<&String> = args
-            .iter()
-            .filter(|a| *a != "--panels" && *a != "--quick")
-            .collect();
-        if extras.len() > 1 || extras.iter().any(|a| a.starts_with("--")) {
-            eprintln!(
-                "error: --panels takes at most one output path; got: {}",
-                extras
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        let path = extras
-            .first()
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "target/panel-report.json".to_string());
-        let report = llama_bench::perf::run_panels(quick);
-        print!("{}", report.summary());
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "error: panel engine below the speedup floor or no min-power gain — regression"
-            );
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--fleet") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let extras: Vec<&String> = args
-            .iter()
-            .filter(|a| *a != "--fleet" && *a != "--quick")
-            .collect();
-        if extras.len() > 1 || extras.iter().any(|a| a.starts_with("--")) {
-            eprintln!(
-                "error: --fleet takes at most one output path; got: {}",
-                extras
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        let path = extras
-            .first()
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "target/fleet-report.json".to_string());
-        let report = llama_bench::perf::run_fleet(quick);
-        print!("{}", report.summary());
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("error: fleet engine below the speedup floor — perf regression");
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--bench-json") {
-        let quick = args.iter().any(|a| a == "--quick");
-        // Bench mode accepts only its own flags plus one optional output
-        // path (any position); anything else is a usage error rather
-        // than a silently dropped experiment id.
-        let extras: Vec<&String> = args
-            .iter()
-            .filter(|a| *a != "--bench-json" && *a != "--quick")
-            .collect();
-        let looks_like_id = |a: &str| llama_bench::ALL_IDS.contains(&a) || a == "all";
-        if extras.len() > 1
-            || extras.iter().any(|a| a.starts_with("--"))
-            || extras.iter().any(|a| looks_like_id(a))
-        {
-            eprintln!(
-                "error: --bench-json takes at most one output path (experiment ids \
-                 cannot be combined with bench mode); got: {}",
-                extras
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        let path = extras
-            .first()
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "target/bench-report.json".to_string());
-        let report = llama_bench::perf::run(quick);
-        print!("{}", report.summary());
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("error: batched engine below the speedup floor — perf regression");
-            ExitCode::FAILURE
-        };
+        });
     }
 
     let ids: Vec<&str> = if args.len() == 1 && args[0] == "all" {

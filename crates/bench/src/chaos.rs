@@ -1,6 +1,6 @@
-//! Chaos harness behind `expts --chaos`: sweeps seeded fault rates over
-//! a scenario-zoo room and emits the degradation curve as a
-//! machine-checkable JSON artifact.
+//! Chaos suite behind `expts --chaos`: sweeps seeded fault rates over a
+//! scenario-zoo room and reports the degradation curve, one row of
+//! metrics per fault rate.
 //!
 //! Three gates make the curve trustworthy:
 //!
@@ -23,15 +23,18 @@
 use std::sync::Arc;
 
 use llama_core::faults::{FaultPlan, FaultWindow, PanelOutage};
-use llama_core::rooms;
+use llama_core::panels::JointConfig;
 use llama_core::sim::SimReport;
 use llama_core::telemetry::{RecorderHandle, RingRecorder};
 use rfmath::units::Seconds;
 
-use crate::perf::stamp_report;
+use crate::report::{Bound, Metric, Report};
 
 /// Fault rates swept for the degradation curve.
 pub const RATES: [f64; 4] = [0.05, 0.10, 0.20, 0.30];
+
+/// Highest fault rate the degradation gates apply to.
+const GATED_RATE: f64 = 0.10;
 
 /// Minimum device-weighted mean serving duty the gated (5% and 10%)
 /// points must keep. The healthy zoo rooms sit near 0.9; a 0.2 floor
@@ -39,274 +42,144 @@ pub const RATES: [f64; 4] = [0.05, 0.10, 0.20, 0.30];
 /// outage's re-home cold searches.
 pub const DUTY_FLOOR: f64 = 0.2;
 
-/// One measured point of the degradation curve.
-#[derive(Clone, Debug)]
-pub struct ChaosPoint {
-    /// The shared fault rate of this point (0 = fault-free baseline).
-    pub rate: f64,
-    /// Device-weighted mean serving duty.
-    pub mean_duty: f64,
-    /// Mean worst-served device power, dBm.
-    pub mean_min_power_dbm: f64,
-    /// Panel×tick outages the run degraded through.
-    pub outaged_panel_ticks: usize,
-    /// Devices re-homed off dark panels.
-    pub reassignments: usize,
-    /// Probe-report deliveries lost (each billed retry airtime).
-    pub reports_lost: usize,
-    /// Searches whose every retry was lost (bias held).
-    pub reports_exhausted: usize,
-    /// PSU settling glitches billed.
-    pub psu_glitches: usize,
-    /// Hysteresis handoffs (fault re-homes excluded).
-    pub handoffs: usize,
+/// The fault plan of one sweep point: panel-outage, report-loss and
+/// PSU-glitch rates all at `rate`, plus one scripted mid-run outage of
+/// panel 0, so the orphan re-home machinery is exercised at every rate
+/// (stochastic outages alone might miss a short room at the low rates).
+pub(crate) fn scripted_plan(seed: u64, rate: f64) -> FaultPlan {
+    let mut plan = FaultPlan::with_rates(seed, rate, rate, rate);
+    plan.outages.push(PanelOutage {
+        panel: 0,
+        window: FaultWindow {
+            start: Seconds(3.0),
+            duration: Seconds(3.0),
+        },
+    });
+    plan
 }
 
-impl ChaosPoint {
-    fn from_sim(rate: f64, report: &SimReport) -> Self {
-        Self {
-            rate,
-            mean_duty: report.mean_duty(),
-            mean_min_power_dbm: report.mean_served_min_power_dbm(),
-            outaged_panel_ticks: report.total_outaged_panel_ticks(),
-            reassignments: report.total_fault_reassignments(),
-            reports_lost: report.total_reports_lost(),
-            reports_exhausted: report.total_reports_exhausted(),
-            psu_glitches: report.total_psu_glitches(),
-            handoffs: report.handoffs,
+/// The row label of one sweep point (`0.00` is the fault-free baseline).
+fn rate_label(rate: f64) -> String {
+    format!("{rate:.2}")
+}
+
+/// One point of the degradation curve, labelled by its fault rate.
+fn point_metrics(rate: f64, sim: &SimReport) -> Vec<Metric> {
+    [
+        Metric::new("mean_duty", "ratio", sim.mean_duty()),
+        Metric::new("mean_min_power_dbm", "dBm", sim.mean_served_min_power_dbm()),
+        Metric::count("outaged_panel_ticks", sim.total_outaged_panel_ticks()),
+        Metric::count("reassignments", sim.total_fault_reassignments()),
+        Metric::count("reports_lost", sim.total_reports_lost()),
+        Metric::count("reports_exhausted", sim.total_reports_exhausted()),
+        Metric::count("psu_glitches", sim.total_psu_glitches()),
+        Metric::count("handoffs", sim.handoffs),
+    ]
+    .into_iter()
+    .map(|m| m.label("rate", rate_label(rate)))
+    .collect()
+}
+
+/// Sweeps room `name` under `seed` (`Err` on an unknown room, listing
+/// the catalog). With `joint`, the joint-mode smoke ([`joint_smoke`])
+/// rides along in the same report. The JSON stamps the highest-rate
+/// fault configuration swept.
+pub fn run(name: &str, seed: u64, joint: bool) -> Result<Report, String> {
+    let mut report = Report::new("chaos")
+        .text("chaos_room", name)
+        .param("seed", seed)
+        .param("duty_floor", DUTY_FLOOR);
+    if joint {
+        for metric in joint_smoke(name, seed)? {
+            report.push(metric);
         }
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"rate\": {:.2}, \"mean_duty\": {:.6}, \"mean_min_power_dbm\": {:.3}, \
-             \"outaged_panel_ticks\": {}, \"reassignments\": {}, \"reports_lost\": {}, \
-             \"reports_exhausted\": {}, \"psu_glitches\": {}, \"handoffs\": {}}}",
-            self.rate,
-            self.mean_duty,
-            self.mean_min_power_dbm,
-            self.outaged_panel_ticks,
-            self.reassignments,
-            self.reports_lost,
-            self.reports_exhausted,
-            self.psu_glitches,
-            self.handoffs,
-        )
+    let baseline = crate::build_room(name, seed)?.run();
+    // Gate 1: the empty plan must be bitwise inert.
+    let zero = crate::build_room(name, seed)?.run_with_faults(FaultPlan::none());
+    report.push(Metric::flag(
+        "zero_fault_identical",
+        bitwise_identical(&baseline, &zero),
+    ));
+    for metric in point_metrics(0.0, &baseline) {
+        report.push(metric);
     }
-}
 
-/// The full chaos sweep over one room, ready to gate CI on.
-#[derive(Clone, Debug)]
-pub struct ChaosReport {
-    /// Catalog name of the room swept.
-    pub room: String,
-    /// Root seed of room and fault draws alike.
-    pub seed: u64,
-    /// The duty floor the gated points were held to.
-    pub duty_floor: f64,
-    /// Whether the zero-fault run was bit-identical to the baseline.
-    pub zero_fault_identical: bool,
-    /// The fault-free baseline point.
-    pub baseline: ChaosPoint,
-    /// One point per swept rate, ascending.
-    pub points: Vec<ChaosPoint>,
-    /// Aggregated telemetry block from the ring recorder that rode
-    /// along with every rate-point run (single-line JSON object). The
-    /// baseline and zero-fault identity runs stay untraced so the
-    /// bitwise gate compares exactly what it always compared.
-    pub telemetry: String,
-}
-
-impl ChaosReport {
-    /// Sweeps room `name` under `seed` (`Err` on an unknown room,
-    /// listing the catalog).
-    pub fn run(name: &str, seed: u64) -> Result<Self, String> {
-        let build = |seed| {
-            rooms::build(name, seed).ok_or_else(|| {
-                format!(
-                    "unknown scenario {name:?}; known scenarios: {}",
-                    rooms::SCENARIOS.join(", ")
-                )
-            })
-        };
-
-        let baseline_report = build(seed)?.run();
-        let baseline = ChaosPoint::from_sim(0.0, &baseline_report);
-
-        // Gate 1: the empty plan must be bitwise inert.
-        let zero_report = build(seed)?.run_with_faults(FaultPlan::none());
-        let zero_fault_identical = bitwise_identical(&baseline_report, &zero_report);
-
-        // The degradation curve. Every nonzero point also scripts a
-        // mid-run outage of panel 0, so the orphan re-home machinery is
-        // exercised at every rate (stochastic outages alone might miss
-        // a short room at the low rates).
-        let mut points = Vec::with_capacity(RATES.len());
-        let recorder = RecorderHandle::new(Arc::new(RingRecorder::default()));
-        for &rate in RATES.iter() {
-            let mut plan = FaultPlan::with_rates(seed, rate, rate, rate);
-            plan.outages.push(PanelOutage {
-                panel: 0,
-                window: FaultWindow {
-                    start: Seconds(3.0),
-                    duration: Seconds(3.0),
-                },
-            });
-            let report = build(seed)?.run_traced(plan, recorder.clone());
-            points.push(ChaosPoint::from_sim(rate, &report));
+    // The degradation curve. The ring recorder rides along with every
+    // rate-point run; the baseline and zero-fault identity runs stay
+    // untraced so the bitwise gate compares exactly what it always
+    // compared.
+    let recorder = RecorderHandle::new(Arc::new(RingRecorder::default()));
+    for &rate in RATES.iter() {
+        let sim =
+            crate::build_room(name, seed)?.run_traced(scripted_plan(seed, rate), recorder.clone());
+        for metric in point_metrics(rate, &sim) {
+            report.push(metric);
         }
-
-        Ok(Self {
-            room: name.to_string(),
-            seed,
-            duty_floor: DUTY_FLOOR,
-            zero_fault_identical,
-            baseline,
-            points,
-            telemetry: recorder.aggregate_json(),
-        })
     }
+    report.faults = scripted_plan(seed, RATES[RATES.len() - 1]);
+    report.telemetry = recorder.aggregate_json();
+    gate_chaos(&mut report, joint);
+    Ok(report)
+}
 
-    /// True when every gate holds: zero-fault identity, and the 5%/10%
-    /// points still serving (finite power, duty above the floor, the
-    /// scripted outage's orphans actually re-homed).
-    pub fn passes(&self) -> bool {
-        self.zero_fault_identical
-            && self
-                .points
-                .iter()
-                .filter(|p| p.rate <= 0.10 + 1e-9)
-                .all(|p| {
-                    p.mean_duty >= self.duty_floor
-                        && p.mean_min_power_dbm.is_finite()
-                        && p.reassignments > 0
-                })
+/// The chaos gates: zero-fault identity, and at every rate up to
+/// [`GATED_RATE`] the room still serves — duty at or above
+/// [`DUTY_FLOOR`], finite worst-device power, the scripted outage's
+/// orphans actually re-homed. With `joint`, the joint smoke's
+/// determinism and monotonicity too.
+pub(crate) fn gate_chaos(report: &mut Report, joint: bool) {
+    report.gate("zero_fault_identical", &[], Bound::Floor(1.0));
+    for rate in RATES.into_iter().filter(|&r| r <= GATED_RATE + 1e-9) {
+        let label = rate_label(rate);
+        let row = [("rate", label.as_str())];
+        report.gate("mean_duty", &row, Bound::Floor(DUTY_FLOOR));
+        report.gate("mean_min_power_dbm", &row, Bound::Finite);
+        report.gate("reassignments", &row, Bound::Floor(1.0));
     }
-
-    /// Human-readable sweep summary.
-    pub fn summary(&self) -> String {
-        let mut out = format!(
-            "chaos sweep: {room}, seed {seed}\n\
-             zero-fault identity: {ident}\n\
-             {r:>6} {d:>10} {p:>12} {o:>8} {m:>8} {l:>6} {x:>6} {g:>6}\n",
-            room = self.room,
-            seed = self.seed,
-            ident = if self.zero_fault_identical {
-                "bitwise"
-            } else {
-                "BROKEN"
-            },
-            r = "rate",
-            d = "duty",
-            p = "min dBm",
-            o = "outages",
-            m = "rehomes",
-            l = "lost",
-            x = "exhst",
-            g = "glitch",
+    if joint {
+        report.gate("joint_deterministic", &[], Bound::Floor(1.0));
+        report.gate(
+            "joint_lift_db",
+            &[],
+            Bound::Floor(-crate::joint::JOINT_REGRESSION_TOLERANCE_DB),
         );
-        for p in std::iter::once(&self.baseline).chain(&self.points) {
-            out.push_str(&format!(
-                "{:>6.2} {:>10.3} {:>12.1} {:>8} {:>8} {:>6} {:>6} {:>6}\n",
-                p.rate,
-                p.mean_duty,
-                p.mean_min_power_dbm,
-                p.outaged_panel_ticks,
-                p.reassignments,
-                p.reports_lost,
-                p.reports_exhausted,
-                p.psu_glitches,
-            ));
-        }
-        out.push_str(&format!(
-            "duty floor {:.2} at rates <= 0.10 — {}",
-            self.duty_floor,
-            if self.passes() { "PASS" } else { "FAIL" }
-        ));
-        out
-    }
-
-    /// Renders the sweep as a JSON document (hand-assembled; no
-    /// external dependencies), stamped with machine topology and the
-    /// highest-rate fault configuration swept.
-    pub fn to_json(&self) -> String {
-        let top = RATES[RATES.len() - 1];
-        let mut stamp_plan = FaultPlan::with_rates(self.seed, top, top, top);
-        stamp_plan.outages.push(PanelOutage {
-            panel: 0,
-            window: FaultWindow {
-                start: Seconds(3.0),
-                duration: Seconds(3.0),
-            },
-        });
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"chaos_room\": \"{}\",\n", self.room));
-        stamp_report(&mut out, &stamp_plan, &self.telemetry);
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"duty_floor\": {:.2},\n", self.duty_floor));
-        out.push_str(&format!(
-            "  \"zero_fault_identical\": {},\n",
-            self.zero_fault_identical
-        ));
-        out.push_str(&format!("  \"baseline\": {},\n", self.baseline.to_json()));
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 < self.points.len() { "," } else { "" };
-            out.push_str(&format!("    {}{comma}\n", p.to_json()));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"pass\": {}\n", self.passes()));
-        out.push_str("}\n");
-        out
     }
 }
 
-/// One-shot joint-mode smoke for the chaos lane: runs the room's
+/// The joint-mode smoke for the chaos lane: runs the room's
 /// joint-vs-independent comparison twice under the same seed and
-/// demands (a) bitwise determinism across the two runs and (b) the
-/// descent's monotonicity contract (the joint score never ends below
-/// the independent starting point). Returns a one-line summary on
-/// success, a diagnosis on violation or an unknown room.
-pub fn joint_smoke(name: &str, seed: u64) -> Result<String, String> {
-    use llama_core::panels::JointConfig;
-    let build = || {
-        rooms::build(name, seed).ok_or_else(|| {
-            format!(
-                "unknown scenario {name:?}; known scenarios: {}",
-                rooms::SCENARIOS.join(", ")
-            )
-        })
-    };
-    let (ind_a, joint_a) = build()?.joint_comparison(JointConfig::default());
-    let (_, joint_b) = build()?.joint_comparison(JointConfig::default());
-    if !joint_a.same_allocation(&joint_b)
-        || joint_a.score.to_bits() != joint_b.score.to_bits()
-        || joint_a.probes != joint_b.probes
-    {
-        return Err(format!(
-            "joint search is not deterministic on {name:?}: scores {} vs {}",
-            joint_a.score, joint_b.score
-        ));
-    }
+/// records (a) whether the two runs were bitwise identical and (b) the
+/// descent's lift, whose monotonicity contract says the joint score
+/// never ends below the independent starting point. `Err` on an
+/// unknown room.
+pub fn joint_smoke(name: &str, seed: u64) -> Result<Vec<Metric>, String> {
+    let (independent, joint_a) =
+        crate::build_room(name, seed)?.joint_comparison(JointConfig::default());
+    let (_, joint_b) = crate::build_room(name, seed)?.joint_comparison(JointConfig::default());
+    let deterministic = joint_a.same_allocation(&joint_b)
+        && joint_a.score.to_bits() == joint_b.score.to_bits()
+        && joint_a.probes == joint_b.probes;
     let stats = joint_a
         .joint
         .ok_or_else(|| "joint run reported no descent stats".to_string())?;
-    if stats.lift_db < -1e-9 {
-        return Err(format!(
-            "joint search regressed below its independent start on {name:?}: {} dB",
-            stats.lift_db
-        ));
-    }
-    Ok(format!(
-        "joint smoke: {name}, seed {seed} — deterministic; independent {:.1} dBm, \
-         joint {:.1} dBm ({:+.3} dB, {} rounds{}, cross energy {:.1}%)",
-        ind_a.min_power_dbm(),
-        joint_a.min_power_dbm(),
-        stats.lift_db,
-        stats.rounds,
-        if stats.converged { ", converged" } else { "" },
-        stats.cross_energy_fraction * 100.0,
-    ))
+    Ok(vec![
+        Metric::flag("joint_deterministic", deterministic),
+        Metric::new(
+            "joint_independent_min_dbm",
+            "dBm",
+            independent.min_power_dbm(),
+        ),
+        Metric::new("joint_min_dbm", "dBm", joint_a.min_power_dbm()),
+        Metric::new("joint_lift_db", "dB", stats.lift_db),
+        Metric::count("joint_rounds", stats.rounds),
+        Metric::new(
+            "joint_cross_energy_fraction",
+            "ratio",
+            stats.cross_energy_fraction,
+        ),
+    ])
 }
 
 /// Bit-for-bit tick comparison of two runs: allocation, served power,
@@ -333,7 +206,7 @@ mod tests {
 
     #[test]
     fn unknown_room_lists_the_catalog() {
-        let err = ChaosReport::run("no-such-room", 1).unwrap_err();
+        let err = run("no-such-room", 1, false).unwrap_err();
         assert!(err.contains("office-floor"));
         assert!(err.contains("conference-room"));
         assert!(joint_smoke("no-such-room", 1)
@@ -343,21 +216,35 @@ mod tests {
 
     #[test]
     fn joint_smoke_is_deterministic_and_monotone() {
-        let line = joint_smoke("office-floor", crate::SEED).unwrap();
-        assert!(line.contains("deterministic"));
-        assert!(line.contains("rounds"));
+        let mut report = Report::new("chaos");
+        for metric in joint_smoke("office-floor", crate::SEED).unwrap() {
+            report.push(metric);
+        }
+        assert_eq!(
+            report.metric("joint_deterministic", &[]).unwrap().value,
+            1.0
+        );
+        assert!(report.metric("joint_rounds", &[]).unwrap().value >= 1.0);
+        report.gate("joint_deterministic", &[], Bound::Floor(1.0));
+        report.gate("joint_lift_db", &[], Bound::Floor(-1e-9));
+        assert!(report.passes(), "{}", report.summary());
     }
 
     #[test]
     fn office_floor_survives_the_sweep_and_serializes() {
-        let report = ChaosReport::run("office-floor", crate::SEED).unwrap();
+        let report = run("office-floor", crate::SEED, false).unwrap();
         assert!(report.passes(), "{}", report.summary());
-        assert!(report.zero_fault_identical);
+        assert_eq!(
+            report.metric("zero_fault_identical", &[]).unwrap().value,
+            1.0
+        );
         // The scripted outage guarantees degradation is visible at
         // every nonzero point.
-        for p in &report.points {
-            assert!(p.outaged_panel_ticks > 0);
-            assert!(p.reassignments > 0);
+        for rate in RATES {
+            let label = rate_label(rate);
+            let row = [("rate", label.as_str())];
+            assert!(report.metric("outaged_panel_ticks", &row).unwrap().value > 0.0);
+            assert!(report.metric("reassignments", &row).unwrap().value > 0.0);
         }
         let json = report.to_json();
         assert!(json.contains("\"chaos_room\": \"office-floor\""));
@@ -368,7 +255,10 @@ mod tests {
         // The scripted outage means the ring saw real fault traffic:
         // the per-phase tick spans must be populated.
         assert!(json.contains("sim.phase.reopt_ns"));
-        assert!(json.contains("\"zero_fault_identical\": true"));
+        assert!(json.contains(
+            "{\"name\": \"zero_fault_identical\", \"unit\": \"bool\", \"value\": true, \
+             \"floor\": 1, \"pass\": true}"
+        ));
         assert!(json.contains("\"pass\": true"));
         assert!(report.summary().contains("PASS"));
     }

@@ -9,7 +9,10 @@
 //!   the superposed multi-surface field ([`RoomScenario::
 //!   joint_comparison`](llama_core::rooms::RoomScenario::joint_comparison)),
 //!   with the descent telemetry (rounds, coupled probes, cross-term
-//!   energy) the scheduler reports;
+//!   energy) the scheduler reports. Both sides of the delta are scored
+//!   under the superposed field; the independent biases' home-field
+//!   score is reported next to them, but it is a different physics
+//!   model and not the base of the lift;
 //! * **performance** — the coupled-evaluation hot path
 //!   ([`CoupledEvaluator::powers_dbm`]) timed against the same
 //!   evaluator at zero coupling (which short-circuits to the
@@ -20,22 +23,22 @@
 //!   Algorithm 1's.
 
 use llama_core::fleet::Fleet;
-use llama_core::panels::{CoupledEvaluator, JointConfig, PanelArray};
-use llama_core::rooms;
+use llama_core::panels::{CoupledEvaluator, JointConfig, PanelArray, PanelOutcome};
+use llama_core::rooms::RoomScenario;
 use metasurface::stack::BiasState;
 use propagation::coupling::CouplingConfig;
 
-use crate::perf::{stamp_report, time_ms, BenchSample};
-use rfmath::telemetry::null_block_json;
+use crate::perf::{best, speedup, time_ms};
+use crate::report::{Bound, Metric, Report};
 
 /// Zoo rooms the quality comparison runs on.
 pub const JOINT_ROOMS: [&str; 2] = ["office-floor", "warehouse-aisle"];
 
 /// Minimum lift (dB) the joint search must show over the independent
-/// biases on at least one room for [`JointPerfReport::passes`]. The
-/// descent starts *at* the independent solution, so any strictly
-/// positive delta is genuine cross-panel energy the independent search
-/// cannot see; 0.01 dB keeps the gate off the float noise floor.
+/// biases on at least one room. The descent starts *at* the independent
+/// solution, so any strictly positive delta is genuine cross-panel
+/// energy the independent search cannot see; 0.01 dB keeps the gate off
+/// the float noise floor.
 pub const JOINT_LIFT_FLOOR_DB: f64 = 0.01;
 
 /// The joint search may never end below its own starting point; this is
@@ -53,183 +56,114 @@ const EVAL_DEVICES: usize = 16;
 /// Panels in the synthetic coupled-evaluation timing workload.
 const EVAL_PANELS: usize = 3;
 
-/// One room's joint-vs-independent comparison.
-#[derive(Clone, Debug)]
-pub struct JointRoomResult {
-    /// Zoo room name.
-    pub room: &'static str,
-    /// MaxMin min power of the independent per-panel search, dBm.
-    pub independent_min_dbm: f64,
-    /// MaxMin min power after the joint refinement, dBm.
-    pub joint_min_dbm: f64,
-    /// `joint − independent`, dB (the scheduler's own `lift_db`).
-    pub lift_db: f64,
-    /// Block-coordinate descent rounds the joint search ran.
-    pub rounds: usize,
-    /// Whether the descent converged inside the round cap.
-    pub converged: bool,
-    /// Probes spent on the superposed field (on top of the independent
-    /// warm-up's bill).
-    pub coupled_probes: usize,
-    /// Fraction of total received energy arriving through cross-panel
-    /// terms at the joint solution.
-    pub cross_energy_fraction: f64,
+/// The superposed-field bias the scheduler holds an idle panel at (a
+/// panel with no devices still leaks into every other panel's field).
+const IDLE_PANEL_BIAS: BiasState = BiasState {
+    vx: rfmath::units::Volts(6.0),
+    vy: rfmath::units::Volts(6.0),
+};
+
+/// The joint-vs-independent comparison on one zoo room, as metrics
+/// labelled `room`:
+///
+/// * `independent_home_min_dbm` — the independent biases scored under
+///   each device's home-panel field alone (the independent scheduler's
+///   own model);
+/// * `independent_superposed_min_dbm` — the same biases re-measured with
+///   [`CoupledEvaluator`] under the superposed field;
+/// * `joint_min_dbm` — the joint refinement's score under the
+///   superposed field;
+/// * `lift_db` — the scheduler's own lift, `joint_min_dbm −
+///   independent_superposed_min_dbm` (both under the superposed field);
+///
+/// plus the descent's rounds, convergence, coupled probes and
+/// cross-term energy fraction.
+pub(crate) fn room_metrics(room: &'static str) -> Vec<Metric> {
+    let cfg = JointConfig::default();
+    let scenario = crate::build_room(room, crate::SEED).expect("joint rooms are zoo rooms");
+    let (independent, joint) = scenario.joint_comparison(cfg);
+    let stats = joint.joint.expect("the joint run reports its stats");
+    [
+        Metric::new(
+            "independent_home_min_dbm",
+            "dBm",
+            independent.min_power_dbm(),
+        ),
+        Metric::new(
+            "independent_superposed_min_dbm",
+            "dBm",
+            superposed_min_dbm(&scenario, &independent, cfg.coupling),
+        ),
+        Metric::new("joint_min_dbm", "dBm", joint.min_power_dbm()),
+        Metric::new("lift_db", "dB", stats.lift_db),
+        Metric::count("rounds", stats.rounds),
+        Metric::flag("converged", stats.converged),
+        Metric::count("coupled_probes", stats.coupled_probes),
+        Metric::new(
+            "cross_energy_fraction",
+            "ratio",
+            stats.cross_energy_fraction,
+        ),
+    ]
+    .into_iter()
+    .map(|m| m.label("room", room))
+    .collect()
 }
 
-/// Timing + quality summary of the joint multi-surface path
-/// (`BENCH_PR9.json`).
-#[derive(Clone, Debug)]
-pub struct JointPerfReport {
-    /// Whether the run used the reduced quick-mode sample budget.
-    pub quick: bool,
-    /// Individual workload timings.
-    pub samples: Vec<BenchSample>,
-    /// Per-room quality comparisons.
-    pub rooms: Vec<JointRoomResult>,
-    /// Coupled / zero-coupling best-of-N evaluation time ratio on the
-    /// synthetic 3-panel workload (gated by
-    /// [`COUPLED_SLOWDOWN_CEILING`]).
-    pub coupled_slowdown: f64,
-    /// Coupled device-evaluations per second at the best-of-N time.
-    pub coupled_evals_per_sec: f64,
-    /// Aggregated telemetry block (single-line JSON object). The joint
-    /// bench times its passes directly, so this stays the null stamp;
-    /// `expts --trace` is the instrumented face of the joint path.
-    pub telemetry: String,
-}
-
-impl JointPerfReport {
-    /// True when the joint search lifts at least one room by
-    /// [`JOINT_LIFT_FLOOR_DB`], never regresses below its independent
-    /// starting point anywhere, and the coupled evaluation stays within
-    /// [`COUPLED_SLOWDOWN_CEILING`]× of the independent path.
-    pub fn passes(&self) -> bool {
-        !self.rooms.is_empty()
-            && self
-                .rooms
-                .iter()
-                .all(|r| r.lift_db >= -JOINT_REGRESSION_TOLERANCE_DB)
-            && self.rooms.iter().any(|r| r.lift_db >= JOINT_LIFT_FLOOR_DB)
-            && self.coupled_slowdown.is_finite()
-            && self.coupled_slowdown <= COUPLED_SLOWDOWN_CEILING
-    }
-
-    /// Renders the report as a JSON document (hand-assembled; no
-    /// external dependencies).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"pr\": 9,\n");
-        stamp_report(
-            &mut out,
-            &llama_core::faults::FaultPlan::none(),
-            &self.telemetry,
-        );
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str(&format!("  \"eval_devices\": {EVAL_DEVICES},\n"));
-        out.push_str(&format!("  \"eval_panels\": {EVAL_PANELS},\n"));
-        out.push_str("  \"benches\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let comma = if i + 1 < self.samples.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"mean_ms\": {:.6}, \"iters\": {}}}{comma}\n",
-                s.name, s.mean_ms, s.iters
-            ));
-        }
-        out.push_str("  ],\n  \"rooms\": [\n");
-        for (i, r) in self.rooms.iter().enumerate() {
-            let comma = if i + 1 < self.rooms.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"room\": \"{}\", \"independent_min_dbm\": {:.4}, \
-                 \"joint_min_dbm\": {:.4}, \"lift_db\": {:.6}, \"rounds\": {}, \
-                 \"converged\": {}, \"coupled_probes\": {}, \
-                 \"cross_energy_fraction\": {:.6}}}{comma}\n",
-                r.room,
-                r.independent_min_dbm,
-                r.joint_min_dbm,
-                r.lift_db,
-                r.rounds,
-                r.converged,
-                r.coupled_probes,
-                r.cross_energy_fraction
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"coupled_slowdown\": {:.3},\n",
-            self.coupled_slowdown
-        ));
-        out.push_str(&format!(
-            "  \"coupled_evals_per_sec\": {:.1},\n",
-            self.coupled_evals_per_sec
-        ));
-        out.push_str(&format!(
-            "  \"lift_floor_db\": {JOINT_LIFT_FLOOR_DB},\n  \
-             \"slowdown_ceiling\": {COUPLED_SLOWDOWN_CEILING:.1},\n  \"pass\": {}\n}}\n",
-            self.passes()
-        ));
-        out
-    }
-
-    /// One-line console summary.
-    pub fn summary(&self) -> String {
-        let mut out = String::from("== Joint multi-surface serving summary\n");
-        for s in &self.samples {
-            out.push_str(&format!("{:>38}: {:>10.3} ms/iter\n", s.name, s.mean_ms));
-        }
-        for r in &self.rooms {
-            out.push_str(&format!(
-                "{:>38}: {:>+10.3} dB ({} rounds{}, {} coupled probes, \
-                 cross energy {:.1}%)\n",
-                format!("{} joint lift", r.room),
-                r.lift_db,
-                r.rounds,
-                if r.converged { ", converged" } else { "" },
-                r.coupled_probes,
-                r.cross_energy_fraction * 100.0
-            ));
-        }
-        out.push_str(&format!(
-            "{:>38}: {:>10.2} x (ceiling {COUPLED_SLOWDOWN_CEILING:.1}, pass: {})\n",
-            "coupled-eval slowdown",
-            self.coupled_slowdown,
-            self.passes()
-        ));
-        out
-    }
+/// MaxMin min power of `outcome`'s per-panel biases under the superposed
+/// multi-surface field.
+fn superposed_min_dbm(
+    scenario: &RoomScenario,
+    outcome: &PanelOutcome,
+    coupling: CouplingConfig,
+) -> f64 {
+    let mut coupled = CoupledEvaluator::new(
+        scenario.fleet.fleet(),
+        &scenario.array,
+        &outcome.assignment,
+        coupling,
+    );
+    let biases: Vec<BiasState> = outcome
+        .panel_biases()
+        .into_iter()
+        .map(|b| b.unwrap_or(IDLE_PANEL_BIAS))
+        .collect();
+    coupled
+        .powers_dbm(&biases)
+        .into_iter()
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Runs the joint-vs-independent comparison on the zoo rooms and times
-/// the coupled-evaluation hot path. `quick` trims the sample budget for
-/// CI smoke use.
-pub fn run_joint(quick: bool) -> JointPerfReport {
-    let cfg = JointConfig::default();
-    let mut samples = Vec::new();
-    let mut room_results = Vec::new();
+/// the coupled-evaluation hot path (`BENCH_PR9.json`). `quick` trims the
+/// sample budget for CI smoke use. The joint bench times its passes
+/// directly, so its telemetry block stays the null stamp; `expts
+/// --trace` is the instrumented face of the joint path.
+pub fn run_joint(quick: bool) -> Report {
+    let mut report = Report::new("joint")
+        .param("quick", quick)
+        .param("eval_devices", EVAL_DEVICES)
+        .param("eval_panels", EVAL_PANELS);
+    let mut max_lift_db = f64::NEG_INFINITY;
     for room in JOINT_ROOMS {
-        let scenario = rooms::build(room, crate::SEED).expect("zoo rooms exist");
-        let (independent, joint) = scenario.joint_comparison(cfg);
-        let stats = joint.joint.expect("the joint run reports its stats");
-        room_results.push(JointRoomResult {
-            room,
-            independent_min_dbm: independent.min_power_dbm(),
-            joint_min_dbm: joint.min_power_dbm(),
-            lift_db: stats.lift_db,
-            rounds: stats.rounds,
-            converged: stats.converged,
-            coupled_probes: stats.coupled_probes,
-            cross_energy_fraction: stats.cross_energy_fraction,
-        });
+        for metric in room_metrics(room) {
+            if metric.name == "lift_db" {
+                max_lift_db = max_lift_db.max(metric.value);
+            }
+            report.push(metric);
+        }
     }
+    report.push(Metric::new("max_lift_db", "dB", max_lift_db));
+
     // The office-floor joint search, timed end to end (independent
-    // warm-up + descent), next to the independent search alone.
-    let office = rooms::build("office-floor", crate::SEED).expect("zoo rooms exist");
+    // warm-up + descent).
+    let cfg = JointConfig::default();
+    let office = crate::build_room("office-floor", crate::SEED).expect("zoo rooms exist");
     let sched_iters = if quick { 2 } else { 4 };
-    let (joint_sched_ms, _) = time_ms(sched_iters, || office.joint_comparison(cfg).1);
-    samples.push(BenchSample {
-        name: "office_floor_joint_scheduler",
-        mean_ms: joint_sched_ms,
-        iters: sched_iters,
-    });
+    report.push(Metric::timing(
+        "office_floor_joint_scheduler",
+        time_ms(sched_iters, || office.joint_comparison(cfg).1),
+    ));
 
     // The coupled-evaluation hot path: K-panel superposed powers per
     // bias vector, against the same evaluator with coupling disabled
@@ -247,29 +181,36 @@ pub fn run_joint(quick: bool) -> JointPerfReport {
         &assignment,
         CouplingConfig::indoor_default(),
     );
-    let (coupled_mean, coupled_min) = time_ms(eval_iters, || coupled.powers_dbm(&biases));
-    samples.push(BenchSample {
-        name: "coupled_eval_16x3_superposed",
-        mean_ms: coupled_mean,
-        iters: eval_iters,
-    });
+    let superposed = time_ms(eval_iters, || coupled.powers_dbm(&biases));
     let mut home_only =
         CoupledEvaluator::new(&fleet, &array, &assignment, CouplingConfig::disabled());
-    let (home_mean, home_min) = time_ms(eval_iters, || home_only.powers_dbm(&biases));
-    samples.push(BenchSample {
-        name: "coupled_eval_16x3_zero_coupling",
-        mean_ms: home_mean,
-        iters: eval_iters,
-    });
+    let zero_coupling = time_ms(eval_iters, || home_only.powers_dbm(&biases));
+    let slowdown = speedup(&superposed, &zero_coupling);
+    let evals_per_sec = EVAL_DEVICES as f64 / (best(&superposed) / 1e3).max(1e-12);
+    report.push(Metric::timing("coupled_eval_16x3_superposed", superposed));
+    report.push(Metric::timing(
+        "coupled_eval_16x3_zero_coupling",
+        zero_coupling,
+    ));
+    report.push(Metric::new("coupled_slowdown", "x", slowdown));
+    report.push(Metric::new("coupled_evals_per_sec", "1/s", evals_per_sec));
+    gate_joint(&mut report);
+    report
+}
 
-    JointPerfReport {
-        quick,
-        samples,
-        rooms: room_results,
-        coupled_slowdown: coupled_min / home_min.max(1e-12),
-        coupled_evals_per_sec: EVAL_DEVICES as f64 / (coupled_min / 1e3).max(1e-12),
-        telemetry: null_block_json(),
-    }
+/// The joint gates: the search never ends below its independent
+/// starting point on any room, lifts at least one room by
+/// [`JOINT_LIFT_FLOOR_DB`], and the coupled evaluation stays within
+/// [`COUPLED_SLOWDOWN_CEILING`]× of the independent path.
+pub(crate) fn gate_joint(report: &mut Report) {
+    report.gate("lift_db", &[], Bound::Floor(-JOINT_REGRESSION_TOLERANCE_DB));
+    report.gate("max_lift_db", &[], Bound::Floor(JOINT_LIFT_FLOOR_DB));
+    report.gate("coupled_slowdown", &[], Bound::Finite);
+    report.gate(
+        "coupled_slowdown",
+        &[],
+        Bound::Ceiling(COUPLED_SLOWDOWN_CEILING),
+    );
 }
 
 #[cfg(test)]
@@ -279,20 +220,49 @@ mod tests {
     #[test]
     fn quick_joint_report_passes_its_own_gates() {
         let report = run_joint(true);
-        assert_eq!(report.rooms.len(), JOINT_ROOMS.len());
-        for r in &report.rooms {
-            assert!(r.independent_min_dbm.is_finite());
-            assert!(r.joint_min_dbm.is_finite());
-            assert!(r.rounds >= 1);
-            assert!(r.coupled_probes > 0);
-            assert!(r.cross_energy_fraction > 0.0 && r.cross_energy_fraction < 1.0);
+        for room in JOINT_ROOMS {
+            let row = [("room", room)];
+            for name in [
+                "independent_home_min_dbm",
+                "independent_superposed_min_dbm",
+                "joint_min_dbm",
+            ] {
+                assert!(report.metric(name, &row).unwrap().value.is_finite());
+            }
+            assert!(report.metric("rounds", &row).unwrap().value >= 1.0);
+            assert!(report.metric("coupled_probes", &row).unwrap().value > 0.0);
+            let cross = report.metric("cross_energy_fraction", &row).unwrap().value;
+            assert!(cross > 0.0 && cross < 1.0);
         }
         assert!(report.passes(), "joint gates failed:\n{}", report.summary());
         let json = report.to_json();
-        assert!(json.contains("\"pr\": 9"));
+        assert!(json.contains("\"suite\": \"joint\""));
         assert!(json.contains("\"office-floor\""));
         assert!(json.contains("\"warehouse-aisle\""));
         assert!(json.contains("\"coupled_slowdown\""));
         assert!(json.contains("\"pass\": true"));
+    }
+
+    /// `lift_db` is the joint score minus the independent biases' score,
+    /// both under the superposed field — not minus their home-field
+    /// score.
+    #[test]
+    fn lift_is_joint_minus_independent_under_the_superposed_field() {
+        for room in JOINT_ROOMS {
+            let metrics = room_metrics(room);
+            let value = |name: &str| {
+                metrics
+                    .iter()
+                    .find(|m| m.name == name)
+                    .expect("room metric recorded")
+                    .value
+            };
+            let delta = value("joint_min_dbm") - value("independent_superposed_min_dbm");
+            assert!(
+                (delta - value("lift_db")).abs() <= 1e-6,
+                "{room}: joint − independent (superposed) = {delta} dB, lift_db = {} dB",
+                value("lift_db")
+            );
+        }
     }
 }

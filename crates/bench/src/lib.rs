@@ -16,6 +16,7 @@ pub mod chaos;
 pub mod joint;
 pub mod matrix;
 pub mod perf;
+pub mod report;
 pub mod scenario;
 pub mod trace;
 
@@ -25,6 +26,24 @@ use llama_core::render;
 /// Default seed used by the regeneration harness (any seed works; this
 /// one matches EXPERIMENTS.md).
 pub const SEED: u64 = 2021;
+
+/// Logical cores the host exposes (1 when the OS will not say).
+pub(crate) fn logical_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Builds zoo room `name` under `seed` (`Err` on an unknown name,
+/// listing the catalog).
+pub(crate) fn build_room(name: &str, seed: u64) -> Result<llama_core::rooms::RoomScenario, String> {
+    llama_core::rooms::build(name, seed).ok_or_else(|| {
+        format!(
+            "unknown scenario {name:?}; known scenarios: {}",
+            llama_core::rooms::SCENARIOS.join(", ")
+        )
+    })
+}
 
 /// All experiment ids in paper order.
 pub const ALL_IDS: [&str; 18] = [

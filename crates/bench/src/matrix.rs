@@ -19,12 +19,16 @@
 //! `--policy` axis selects the per-panel scheduling objective:
 //! `maxmin`, `favor` (device 0 favored) or `timedivision`.
 
+use std::sync::Arc;
+
 use control::server::FleetServer;
 use llama_core::fleet::{Fleet, Scheduler};
 use llama_core::panels::{serve_panel_fleets, PanelArray, PanelScheduler};
 use llama_core::rooms;
+use llama_core::telemetry::{RecorderHandle, RingRecorder};
 
-use crate::perf::stamp_report;
+use crate::perf::{best, time_ms};
+use crate::report::{Bound, Metric, Report};
 
 /// Base seed for the matrix fleets (offset per fleet index so the jobs
 /// are distinct but reproducible).
@@ -60,10 +64,7 @@ impl MatrixAxes {
     /// and a 1-vs-4 shard axis — small enough to run as a smoke, wide
     /// enough to show the scaling shape.
     pub fn default_axes() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut threads = vec![1, cores];
+        let mut threads = vec![1, crate::logical_cores()];
         threads.dedup();
         Self {
             rooms: vec![SYNTHETIC_ROOM.to_string()],
@@ -133,53 +134,6 @@ impl MatrixAxes {
     }
 }
 
-/// One measured cell of the cross product.
-#[derive(Clone, Debug)]
-pub struct MatrixCell {
-    /// Workload room (`synthetic` or a zoo name).
-    pub room: String,
-    /// Scheduling policy.
-    pub policy: String,
-    /// Concurrent fleets served.
-    pub fleets: usize,
-    /// Devices per fleet (a zoo room reports its own population).
-    pub devices: usize,
-    /// Worker threads.
-    pub threads: usize,
-    /// Shard deques.
-    pub shards: usize,
-    /// Mean wall-clock per serve, ms.
-    pub mean_ms: f64,
-    /// Best-of-N wall-clock per serve, ms.
-    pub min_ms: f64,
-    /// Fleets served per second at the best-of-N time.
-    pub fleets_per_sec: f64,
-    /// Serial / concurrent best-of-N ratio for this workload.
-    pub speedup_vs_serial: f64,
-    /// Worst served device power across the cell's jobs, dBm — the
-    /// legacy `--panels` single-shape headline, folded per cell.
-    pub min_power_dbm: f64,
-    /// Cross-shard steals during the instrumented pass.
-    pub steals: usize,
-    /// Mean stage-to-pop queue wait per job, ms.
-    pub mean_queue_wait_ms: f64,
-}
-
-/// The assembled sweep.
-#[derive(Clone, Debug)]
-pub struct MatrixReport {
-    /// Whether the reduced quick-mode iteration budget was used.
-    pub quick: bool,
-    /// The swept axes.
-    pub axes: MatrixAxes,
-    /// One row per cross-product cell, in axis order.
-    pub cells: Vec<MatrixCell>,
-    /// Aggregated telemetry block from the ring recorder attached to
-    /// every cell's stats pass (single-line JSON object). Timed passes
-    /// stay recorder-free so the speedup columns are unperturbed.
-    pub telemetry: String,
-}
-
 /// Builds the scheduler for one `--policy` name.
 fn scheduler_for(policy: &str) -> PanelScheduler {
     match policy {
@@ -212,220 +166,111 @@ fn jobs_for(room: &str, fleets_n: usize, devices_n: usize) -> Vec<(Fleet, PanelA
     }
 }
 
-impl MatrixReport {
-    /// Measures every cell of `axes`. Serial baselines (and the served
-    /// min-power headline) are measured once per distinct workload and
-    /// shared across that workload's thread/shard cells.
-    pub fn run(axes: MatrixAxes, quick: bool) -> Self {
-        let iters = if quick { 2 } else { 4 };
-        let mut cells = Vec::with_capacity(axes.cells());
-        let recorder = llama_core::telemetry::RecorderHandle::new(std::sync::Arc::new(
-            llama_core::telemetry::RingRecorder::default(),
-        ));
-        for room in &axes.rooms {
-            for policy in &axes.policies {
-                let scheduler = scheduler_for(policy);
-                for &fleets_n in &axes.fleets {
-                    for &devices_n in &axes.devices {
-                        let jobs = jobs_for(room, fleets_n, devices_n);
-                        let reported_devices = jobs
-                            .first()
-                            .map(|(fleet, _)| fleet.len())
-                            .unwrap_or(devices_n);
-                        let (_, serial_min) = time_min_ms(iters, || {
-                            jobs.iter()
-                                .map(|(f, a)| scheduler.run(f, a))
-                                .collect::<Vec<_>>()
-                        });
-                        // The folded --panels headline: worst served
-                        // device power across the cell's jobs (server
-                        // results are bit-identical to serial runs).
-                        let min_power_dbm = jobs
-                            .iter()
-                            .map(|(f, a)| scheduler.run(f, a).min_power_dbm())
-                            .fold(f64::INFINITY, f64::min);
-                        for &threads in &axes.threads {
-                            for &shards in &axes.shards {
-                                let server = FleetServer::new(threads).with_shards(shards);
-                                let (mean_ms, min_ms) = time_min_ms(iters, || {
-                                    serve_panel_fleets(&server, &scheduler, &jobs)
-                                });
-                                let server = server.with_recorder(recorder.clone());
-                                let (_, stats) = server.try_serve_with_stats(
-                                    jobs.iter().collect(),
-                                    |_, (f, a): &(Fleet, PanelArray)| scheduler.run(f, a),
+/// Measures every cell of `axes` (`Err` when an axis is empty, so the
+/// cross product would measure nothing). Each cell is one table row,
+/// labelled by its six axis values, recording wall-clock, throughput,
+/// speedup over a serial baseline, steals, queue wait *and* the served
+/// MaxMin headline. Serial baselines (and the served min-power headline)
+/// are measured once per distinct workload and shared across that
+/// workload's thread/shard cells. A ring recorder rides every cell's
+/// stats pass; the timed passes stay recorder-free so the speedup
+/// columns are unperturbed.
+pub fn run(axes: MatrixAxes, quick: bool) -> Result<Report, String> {
+    if axes.cells() == 0 {
+        return Err("every matrix axis needs at least one value".to_string());
+    }
+    let iters = if quick { 2 } else { 4 };
+    // Debug-formatted lists of numbers and ASCII names are JSON arrays.
+    let mut report = Report::new("matrix").param("quick", quick).param(
+        "axes",
+        format!(
+            "{{\"rooms\": {:?}, \"policies\": {:?}, \"fleets\": {:?}, \
+             \"devices\": {:?}, \"threads\": {:?}, \"shards\": {:?}}}",
+            axes.rooms, axes.policies, axes.fleets, axes.devices, axes.threads, axes.shards
+        ),
+    );
+    let recorder = RecorderHandle::new(Arc::new(RingRecorder::default()));
+    for room in &axes.rooms {
+        for policy in &axes.policies {
+            let scheduler = scheduler_for(policy);
+            for &fleets_n in &axes.fleets {
+                for &devices_n in &axes.devices {
+                    let jobs = jobs_for(room, fleets_n, devices_n);
+                    let reported_devices = jobs
+                        .first()
+                        .map(|(fleet, _)| fleet.len())
+                        .unwrap_or(devices_n);
+                    let serial = time_ms(iters, || {
+                        jobs.iter()
+                            .map(|(f, a)| scheduler.run(f, a))
+                            .collect::<Vec<_>>()
+                    });
+                    // The folded --panels headline: worst served device
+                    // power across the cell's jobs (server results are
+                    // bit-identical to serial runs).
+                    let min_power_dbm = jobs
+                        .iter()
+                        .map(|(f, a)| scheduler.run(f, a).min_power_dbm())
+                        .fold(f64::INFINITY, f64::min);
+                    for &threads in &axes.threads {
+                        for &shards in &axes.shards {
+                            let server = FleetServer::new(threads).with_shards(shards);
+                            let served =
+                                time_ms(iters, || serve_panel_fleets(&server, &scheduler, &jobs));
+                            let server = server.with_recorder(recorder.clone());
+                            let (_, stats) = server.try_serve_with_stats(
+                                jobs.iter().collect(),
+                                |_, (f, a): &(Fleet, PanelArray)| scheduler.run(f, a),
+                            );
+                            let min_ms = best(&served);
+                            for metric in [
+                                Metric::timing("mean_ms", served),
+                                Metric::new("min_ms", "ms", min_ms),
+                                Metric::new(
+                                    "fleets_per_sec",
+                                    "1/s",
+                                    fleets_n as f64 / (min_ms / 1e3).max(1e-12),
+                                ),
+                                Metric::new(
+                                    "speedup_vs_serial",
+                                    "x",
+                                    best(&serial) / min_ms.max(1e-12),
+                                ),
+                                Metric::new("min_power_dbm", "dBm", min_power_dbm),
+                                Metric::count("steals", stats.steals),
+                                Metric::new(
+                                    "mean_queue_wait_ms",
+                                    "ms",
+                                    stats.mean_queue_wait.0 * 1e3,
+                                ),
+                            ] {
+                                report.push(
+                                    metric
+                                        .label("room", room)
+                                        .label("policy", policy)
+                                        .label("fleets", fleets_n)
+                                        .label("devices", reported_devices)
+                                        .label("threads", threads)
+                                        .label("shards", shards),
                                 );
-                                cells.push(MatrixCell {
-                                    room: room.clone(),
-                                    policy: policy.clone(),
-                                    fleets: fleets_n,
-                                    devices: reported_devices,
-                                    threads,
-                                    shards,
-                                    mean_ms,
-                                    min_ms,
-                                    fleets_per_sec: fleets_n as f64 / (min_ms / 1e3).max(1e-12),
-                                    speedup_vs_serial: serial_min / min_ms.max(1e-12),
-                                    min_power_dbm,
-                                    steals: stats.steals,
-                                    mean_queue_wait_ms: stats.mean_queue_wait.0 * 1e3,
-                                });
                             }
                         }
                     }
                 }
             }
         }
-        Self {
-            quick,
-            axes,
-            cells,
-            telemetry: recorder.aggregate_json(),
-        }
     }
-
-    /// True when every cell measured a finite, positive wall-clock and
-    /// a finite served min power.
-    pub fn passes(&self) -> bool {
-        !self.cells.is_empty()
-            && self
-                .cells
-                .iter()
-                .all(|c| c.min_ms.is_finite() && c.min_ms > 0.0 && c.min_power_dbm.is_finite())
-    }
-
-    /// The markdown table (also the console summary).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::from(
-            "| room | policy | fleets | devices | threads | shards | mean ms | min ms \
-             | fleets/s | speedup | min dBm | steals | queue wait ms |\n\
-             |---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {:.3} | {:.3} | {:.1} | {:.2} | {:.2} | {} \
-                 | {:.4} |\n",
-                c.room,
-                c.policy,
-                c.fleets,
-                c.devices,
-                c.threads,
-                c.shards,
-                c.mean_ms,
-                c.min_ms,
-                c.fleets_per_sec,
-                c.speedup_vs_serial,
-                c.min_power_dbm,
-                c.steals,
-                c.mean_queue_wait_ms
-            ));
-        }
-        out
-    }
-
-    /// The CSV table (same columns as the markdown).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "room,policy,fleets,devices,threads,shards,mean_ms,min_ms,fleets_per_sec,\
-             speedup_vs_serial,min_power_dbm,steals,mean_queue_wait_ms\n",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{:.6},{:.6},{:.3},{:.4},{:.4},{},{:.6}\n",
-                c.room,
-                c.policy,
-                c.fleets,
-                c.devices,
-                c.threads,
-                c.shards,
-                c.mean_ms,
-                c.min_ms,
-                c.fleets_per_sec,
-                c.speedup_vs_serial,
-                c.min_power_dbm,
-                c.steals,
-                c.mean_queue_wait_ms
-            ));
-        }
-        out
-    }
-
-    /// The JSON document (hand-assembled, machine/alloc stamped like
-    /// every bench artifact).
-    pub fn to_json(&self) -> String {
-        let list = |v: &[usize]| {
-            v.iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let names = |v: &[String]| {
-            v.iter()
-                .map(|n| format!("{n:?}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut out = String::from("{\n");
-        out.push_str("  \"pr\": 9,\n");
-        stamp_report(
-            &mut out,
-            &llama_core::faults::FaultPlan::none(),
-            &self.telemetry,
-        );
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str(&format!(
-            "  \"axes\": {{\"rooms\": [{}], \"policies\": [{}], \"fleets\": [{}], \
-             \"devices\": [{}], \"threads\": [{}], \"shards\": [{}]}},\n",
-            names(&self.axes.rooms),
-            names(&self.axes.policies),
-            list(&self.axes.fleets),
-            list(&self.axes.devices),
-            list(&self.axes.threads),
-            list(&self.axes.shards)
-        ));
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 < self.cells.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"room\": {:?}, \"policy\": {:?}, \"fleets\": {}, \"devices\": {}, \
-                 \"threads\": {}, \"shards\": {}, \"mean_ms\": {:.6}, \"min_ms\": {:.6}, \
-                 \"fleets_per_sec\": {:.3}, \"speedup_vs_serial\": {:.4}, \
-                 \"min_power_dbm\": {:.4}, \"steals\": {}, \
-                 \"mean_queue_wait_ms\": {:.6}}}{comma}\n",
-                c.room,
-                c.policy,
-                c.fleets,
-                c.devices,
-                c.threads,
-                c.shards,
-                c.mean_ms,
-                c.min_ms,
-                c.fleets_per_sec,
-                c.speedup_vs_serial,
-                c.min_power_dbm,
-                c.steals,
-                c.mean_queue_wait_ms
-            ));
-        }
-        out.push_str(&format!("  ],\n  \"pass\": {}\n}}\n", self.passes()));
-        out
-    }
+    report.telemetry = recorder.aggregate_json();
+    gate_matrix(&mut report);
+    Ok(report)
 }
 
-/// Local mean/min timer (mirrors the perf harness: one untimed warm-up,
-/// then `iters` timed runs).
-fn time_min_ms<O>(iters: u64, mut routine: impl FnMut() -> O) -> (f64, f64) {
-    std::hint::black_box(routine());
-    let mut total = 0.0f64;
-    let mut min = f64::INFINITY;
-    for _ in 0..iters {
-        let started = std::time::Instant::now();
-        std::hint::black_box(routine());
-        let ms = started.elapsed().as_secs_f64() * 1e3;
-        total += ms;
-        min = min.min(ms);
-    }
-    (total / iters as f64, min)
+/// The matrix gates: every cell measured a finite, positive best-of-N
+/// wall-clock and a finite served min power.
+pub(crate) fn gate_matrix(report: &mut Report) {
+    report.gate("min_ms", &[], Bound::Finite);
+    report.gate("min_ms", &[], Bound::Above(0.0));
+    report.gate("min_power_dbm", &[], Bound::Finite);
 }
 
 #[cfg(test)]
@@ -469,8 +314,11 @@ mod tests {
             ..MatrixAxes::default_axes()
         };
         assert_eq!(axes.cells(), 4);
-        let report = MatrixReport::run(axes, true);
-        assert_eq!(report.cells.len(), 4);
+        let report = run(axes, true).unwrap();
+        assert_eq!(
+            report.metrics.iter().filter(|m| m.name == "min_ms").count(),
+            4
+        );
         assert!(report.passes());
         let md = report.to_markdown();
         assert_eq!(md.lines().count(), 2 + 4);
@@ -499,18 +347,20 @@ mod tests {
             shards: vec![1],
         };
         assert_eq!(axes.cells(), 4);
-        let report = MatrixReport::run(axes, true);
-        assert_eq!(report.cells.len(), 4);
+        let report = run(axes, true).unwrap();
         assert!(report.passes());
-        let zoo: Vec<&MatrixCell> = report
-            .cells
+        let zoo: Vec<&Metric> = report
+            .metrics
             .iter()
-            .filter(|c| c.room == "conference-room")
+            .filter(|m| m.name == "min_power_dbm" && m.in_row(&[("room", "conference-room")]))
             .collect();
         assert_eq!(zoo.len(), 2);
         for cell in zoo {
-            assert_eq!(cell.devices, 8, "the room brings its own population");
-            assert!(cell.min_power_dbm.is_finite());
+            assert!(
+                cell.in_row(&[("devices", "8")]),
+                "the room brings its own population"
+            );
+            assert!(cell.value.is_finite());
         }
         assert!(report.to_csv().contains("conference-room,favor"));
         assert!(report

@@ -1,5 +1,5 @@
-//! Scenario-zoo runner: simulates a named room configuration from
-//! [`llama_core::rooms`] and renders a machine-checkable report.
+//! Scenario-zoo suite: simulates a named room configuration from
+//! [`llama_core::rooms`] and reports how well it served.
 //!
 //! This is the CI face of the zoo — `expts --scenario <name>` runs one
 //! room for its seeded tick budget, prints a human summary, writes the
@@ -10,151 +10,48 @@
 
 use std::sync::Arc;
 
-use llama_core::rooms;
-use llama_core::sim::SimReport;
+use llama_core::faults::FaultPlan;
 use llama_core::telemetry::{RecorderHandle, RingRecorder};
 
-use crate::perf::stamp_report;
+use crate::report::{Bound, Metric, Report};
 
-/// Outcome of one scenario run, ready to gate CI on.
-#[derive(Clone, Debug)]
-pub struct ScenarioReport {
-    /// Catalog name of the room.
-    pub name: String,
-    /// One-line room description.
-    pub description: String,
-    /// Root seed of the run.
-    pub seed: u64,
-    /// Devices in the room.
-    pub devices: usize,
-    /// Panels serving it.
-    pub panels: usize,
-    /// Ticks simulated.
-    pub ticks: usize,
-    /// Mean serving duty across ticks and panels (the CI gate).
-    pub mean_duty: f64,
-    /// Mean worst-served device power, dBm.
-    pub mean_min_power_dbm: f64,
-    /// Total probes spent.
-    pub probes: usize,
-    /// Full link re-preparations (geometry changes).
-    pub links_reprepared: usize,
-    /// Cheap link rebinds (orientation/power changes).
-    pub links_rebound: usize,
-    /// Panel handoffs across the run.
-    pub handoffs: usize,
-    /// Wall-clock of the simulation, milliseconds.
-    pub wall_ms: f64,
-    /// Aggregated telemetry block captured by the ring recorder that
-    /// rode along with the run (single-line JSON object).
-    pub telemetry: String,
+/// Runs scenario `name` under `seed` (`Err` on an unknown name, listing
+/// the catalog). Scenario-zoo runs are fault-free by construction, and
+/// the stamp says so explicitly.
+pub fn run(name: &str, seed: u64) -> Result<Report, String> {
+    let mut scenario = crate::build_room(name, seed)?;
+    // Every zoo run carries a ring recorder so the committed JSON gets a
+    // real aggregated telemetry block, not a null stamp.
+    let recorder = RecorderHandle::new(Arc::new(RingRecorder::default()));
+    let sim = scenario.run_traced(FaultPlan::none(), recorder.clone());
+    let mut report = Report::new("scenario")
+        .text("scenario", scenario.name)
+        .text("description", scenario.description)
+        .param("seed", scenario.seed)
+        .param("devices", scenario.fleet.len())
+        .param("panels", scenario.array.len())
+        .param("ticks", sim.ticks.len());
+    report.telemetry = recorder.aggregate_json();
+    for metric in [
+        Metric::new("mean_duty", "ratio", sim.mean_duty()),
+        Metric::new("mean_min_power_dbm", "dBm", sim.mean_served_min_power_dbm()),
+        Metric::count("probes", sim.total_probes()),
+        Metric::count("links_reprepared", sim.total_links_reprepared()),
+        Metric::count("links_rebound", sim.total_links_rebound()),
+        Metric::count("handoffs", sim.handoffs),
+        Metric::new("wall_ms", "ms", sim.wall_ms),
+    ] {
+        report.push(metric);
+    }
+    gate_scenario(&mut report);
+    Ok(report)
 }
 
-impl ScenarioReport {
-    /// Runs scenario `name` under `seed` (`Err` on an unknown name,
-    /// listing the catalog).
-    pub fn run(name: &str, seed: u64) -> Result<Self, String> {
-        let mut scenario = rooms::build(name, seed).ok_or_else(|| {
-            format!(
-                "unknown scenario {name:?}; known scenarios: {}",
-                rooms::SCENARIOS.join(", ")
-            )
-        })?;
-        // Every zoo run carries a ring recorder so the committed JSON
-        // gets a real aggregated telemetry block, not a null stamp.
-        let recorder = RecorderHandle::new(Arc::new(RingRecorder::default()));
-        let report = scenario.run_traced(llama_core::faults::FaultPlan::none(), recorder.clone());
-        Ok(Self::from_sim(
-            &scenario,
-            &report,
-            recorder.aggregate_json(),
-        ))
-    }
-
-    fn from_sim(scenario: &rooms::RoomScenario, report: &SimReport, telemetry: String) -> Self {
-        Self {
-            name: scenario.name.to_string(),
-            description: scenario.description.to_string(),
-            seed: scenario.seed,
-            devices: scenario.fleet.len(),
-            panels: scenario.array.len(),
-            ticks: report.ticks.len(),
-            mean_duty: report.mean_duty(),
-            mean_min_power_dbm: report.mean_served_min_power_dbm(),
-            probes: report.total_probes(),
-            links_reprepared: report.total_links_reprepared(),
-            links_rebound: report.total_links_rebound(),
-            handoffs: report.handoffs,
-            wall_ms: report.wall_ms,
-            telemetry,
-        }
-    }
-
-    /// True when the room actually served: some airtime went to serving
-    /// and the worst-served power is a real number.
-    pub fn passes(&self) -> bool {
-        self.mean_duty > 0.0 && self.mean_min_power_dbm.is_finite()
-    }
-
-    /// Human-readable run summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "scenario {name}: {desc}\n\
-             seed {seed}, {devices} devices, {panels} panels, {ticks} ticks\n\
-             mean duty {duty:.3}, mean served min power {power:.1} dBm\n\
-             {probes} probes, {reprep} links re-prepared, {rebound} rebound, {handoffs} handoffs\n\
-             wall {wall:.1} ms — {verdict}",
-            name = self.name,
-            desc = self.description,
-            seed = self.seed,
-            devices = self.devices,
-            panels = self.panels,
-            ticks = self.ticks,
-            duty = self.mean_duty,
-            power = self.mean_min_power_dbm,
-            probes = self.probes,
-            reprep = self.links_reprepared,
-            rebound = self.links_rebound,
-            handoffs = self.handoffs,
-            wall = self.wall_ms,
-            verdict = if self.passes() { "PASS" } else { "FAIL" },
-        )
-    }
-
-    /// Renders the report as a JSON document (hand-assembled; no
-    /// external dependencies), including the machine topology.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scenario\": \"{}\",\n", self.name));
-        out.push_str(&format!("  \"description\": \"{}\",\n", self.description));
-        // Scenario-zoo runs are fault-free by construction; the stamp
-        // says so explicitly.
-        stamp_report(
-            &mut out,
-            &llama_core::faults::FaultPlan::none(),
-            &self.telemetry,
-        );
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"devices\": {},\n", self.devices));
-        out.push_str(&format!("  \"panels\": {},\n", self.panels));
-        out.push_str(&format!("  \"ticks\": {},\n", self.ticks));
-        out.push_str(&format!("  \"mean_duty\": {:.6},\n", self.mean_duty));
-        out.push_str(&format!(
-            "  \"mean_min_power_dbm\": {:.3},\n",
-            self.mean_min_power_dbm
-        ));
-        out.push_str(&format!("  \"probes\": {},\n", self.probes));
-        out.push_str(&format!(
-            "  \"links_reprepared\": {},\n",
-            self.links_reprepared
-        ));
-        out.push_str(&format!("  \"links_rebound\": {},\n", self.links_rebound));
-        out.push_str(&format!("  \"handoffs\": {},\n", self.handoffs));
-        out.push_str(&format!("  \"wall_ms\": {:.3},\n", self.wall_ms));
-        out.push_str(&format!("  \"pass\": {}\n", self.passes()));
-        out.push_str("}\n");
-        out
-    }
+/// The scenario gates: the room actually served — some airtime went to
+/// serving, and the worst-served power is a real number.
+pub(crate) fn gate_scenario(report: &mut Report) {
+    report.gate("mean_duty", &[], Bound::Above(0.0));
+    report.gate("mean_min_power_dbm", &[], Bound::Finite);
 }
 
 #[cfg(test)]
@@ -163,7 +60,7 @@ mod tests {
 
     #[test]
     fn unknown_scenario_lists_the_catalog() {
-        let err = ScenarioReport::run("no-such-room", 1).unwrap_err();
+        let err = run("no-such-room", 1).unwrap_err();
         assert!(err.contains("office-floor"));
         assert!(err.contains("warehouse-aisle"));
         assert!(err.contains("conference-room"));
@@ -171,7 +68,7 @@ mod tests {
 
     #[test]
     fn office_floor_serves_and_serializes() {
-        let report = ScenarioReport::run("office-floor", crate::SEED).unwrap();
+        let report = run("office-floor", crate::SEED).unwrap();
         assert!(report.passes(), "{}", report.summary());
         let json = report.to_json();
         assert!(json.contains("\"scenario\": \"office-floor\""));
