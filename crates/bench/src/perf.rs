@@ -754,6 +754,250 @@ mod tests {
         assert!(report.passes());
     }
 
+    /// Sets the first metric called `name` in `row` to `value`.
+    fn set(report: &mut Report, name: &str, row: &[(&str, &str)], value: f64) {
+        report
+            .metrics
+            .iter_mut()
+            .find(|m| m.name == name && m.in_row(row))
+            .expect("fixture records the metric")
+            .value = value;
+    }
+
+    #[test]
+    fn panel_report_serializes_and_gates_on_both_axes() {
+        let mut report = Report::new("panels")
+            .param("quick", true)
+            .param("panels", PANEL_COUNT)
+            .param("fleet_devices", FLEET_SIZE)
+            .param("server_fleets", SERVER_FLEETS);
+        report.push(Metric::timing("z", vec![1.0, 1.0]));
+        report.push(Metric::new("panel_grid_speedup", "x", 3.0));
+        report.push(Metric::new("panel_min_power_gain_db", "dB", 2.5));
+        report.push(Metric::new("server_concurrency_speedup", "x", 1.8));
+        report.push(Metric::count("server_workers", 2));
+        report.push(Metric::new("server_scaling_efficiency", "ratio", 0.9));
+        report.push(Metric::new("server_mean_queue_wait_ms", "ms", 0.05));
+        report.push(Metric::new("server_queue_wait_p50_ms", "ms", 0.04));
+        report.push(Metric::new("server_queue_wait_p95_ms", "ms", 0.09));
+        report.push(Metric::count("server_steals", 1));
+        gate_panels(&mut report);
+
+        let json = report.to_json();
+        assert!(json.starts_with("{\n  \"suite\": \"panels\",\n  \"quick\": true,"));
+        assert!(json.contains("\"panels\": 4"));
+        for key in [
+            "\"machine\"",
+            "\"logical_cores\"",
+            "\"threads_used\"",
+            "\"allocs_per_tick\"",
+            "\"telemetry\"",
+            "\"mode\": \"null\"",
+        ] {
+            assert!(json.contains(key), "missing {key}");
+        }
+        for metric in [
+            "{\"name\": \"server_scaling_efficiency\", \"unit\": \"ratio\", \"value\": 0.9}",
+            "{\"name\": \"server_mean_queue_wait_ms\", \"unit\": \"ms\", \"value\": 0.05}",
+            "{\"name\": \"server_queue_wait_p50_ms\", \"unit\": \"ms\", \"value\": 0.04}",
+            "{\"name\": \"server_queue_wait_p95_ms\", \"unit\": \"ms\", \"value\": 0.09}",
+            "{\"name\": \"server_steals\", \"unit\": \"count\", \"value\": 1}",
+            "{\"name\": \"panel_grid_speedup\", \"unit\": \"x\", \"value\": 3, \
+             \"floor\": 2, \"pass\": true}",
+            "{\"name\": \"panel_min_power_gain_db\", \"unit\": \"dB\", \"value\": 2.5, \
+             \"above\": 0, \"pass\": true}",
+        ] {
+            assert!(json.contains(metric), "missing {metric}");
+        }
+        assert!(json.ends_with("\"pass\": true\n}\n"));
+        assert!(report.passes());
+
+        // Either axis failing fails the smoke: a fast-but-worse panel
+        // path is as much a regression as a slow one.
+        let mut slow = report.clone();
+        set(&mut slow, "panel_grid_speedup", &[], 1.5);
+        assert!(!slow.passes());
+        let mut worse = report;
+        set(&mut worse, "panel_min_power_gain_db", &[], -0.3);
+        assert!(!worse.passes());
+        assert_eq!(
+            worse.failures(),
+            vec!["panel_min_power_gain_db = -0.300 (needs > 0)".to_string()]
+        );
+    }
+
+    #[test]
+    fn mobility_report_serializes_and_gates_on_both_axes() {
+        let mut report = Report::new("mobility")
+            .param("quick", false)
+            .param("fleet_devices", 32)
+            .param("ticks", 64)
+            .param("panels", 4);
+        report.push(Metric::new("cold_wall_ms", "ms", 900.0));
+        report.push(Metric::new("warm_wall_ms", "ms", 200.0));
+        report.push(Metric::new("warm_speedup", "x", 4.5));
+        report.push(Metric::count("cold_probes", 6400));
+        report.push(Metric::count("warm_probes", 900));
+        report.push(Metric::new("warm_probe_fraction", "ratio", 900.0 / 6400.0));
+        report.push(Metric::new("cold_mean_duty", "ratio", 0.0));
+        report.push(Metric::new("warm_mean_duty", "ratio", 0.8));
+        report.push(Metric::count("warm_handoffs", 3));
+        report.push(Metric::flag("zero_motion_equivalent", true));
+        for metric in [
+            Metric::count("handoffs", 3),
+            Metric::new("mean_min_power_dbm", "dBm", -61.5),
+            Metric::new("mean_duty", "ratio", 0.8),
+        ] {
+            report.push(
+                metric
+                    .label("hysteresis_db", format!("{:.1}", 2.0))
+                    .label("dwell_ticks", 2),
+            );
+        }
+        gate_mobility(&mut report, false);
+
+        let json = report.to_json();
+        assert!(json.starts_with("{\n  \"suite\": \"mobility\",\n  \"quick\": false,"));
+        assert!(json.contains(
+            "{\"name\": \"warm_speedup\", \"unit\": \"x\", \"value\": 4.5, \
+             \"floor\": 3, \"pass\": true}"
+        ));
+        assert!(json.contains(
+            "{\"name\": \"zero_motion_equivalent\", \"unit\": \"bool\", \"value\": true, \
+             \"floor\": 1, \"pass\": true}"
+        ));
+        assert!(json.contains(
+            "{\"name\": \"mean_min_power_dbm\", \
+             \"labels\": {\"hysteresis_db\": \"2.0\", \"dwell_ticks\": \"2\"}, \
+             \"unit\": \"dBm\", \"value\": -61.5}"
+        ));
+        assert!(json.ends_with("\"pass\": true\n}\n"));
+        assert!(report.passes());
+
+        // The hysteresis sweep is one table row, labels first.
+        let csv = report.to_csv();
+        assert!(csv.starts_with("hysteresis_db,dwell_ticks,cold_wall_ms,"));
+        assert!(csv.ends_with("\n2.0,2,,,,,,,,,,,3,-61.5000,0.800\n"));
+
+        // Every axis fails the smoke on its own.
+        let mut slow = report.clone();
+        set(&mut slow, "warm_speedup", &[], 1.5);
+        assert!(!slow.passes());
+        let mut probe_heavy = report.clone();
+        set(&mut probe_heavy, "warm_probe_fraction", &[], 0.75);
+        assert!(!probe_heavy.passes());
+        let mut drifted = report;
+        set(&mut drifted, "zero_motion_equivalent", &[], 0.0);
+        assert!(!drifted.passes());
+        assert_eq!(
+            drifted.failures(),
+            vec!["zero_motion_equivalent = false (needs >= 1)".to_string()]
+        );
+    }
+
+    #[test]
+    fn fleet_report_serializes_and_summarizes() {
+        let mut report = Report::new("fleet")
+            .param("quick", true)
+            .param("fleet_devices", FLEET_SIZE);
+        report.push(Metric::timing("y", vec![2.0, 3.0]));
+        report.push(Metric::new("fleet_32_speedup", "x", 4.5));
+        gate_fleet(&mut report);
+
+        let json = report.to_json();
+        assert!(json.starts_with("{\n  \"suite\": \"fleet\",\n  \"quick\": true,"));
+        assert!(json.contains("\"fleet_devices\": 32"));
+        assert!(json.contains(
+            "{\"name\": \"fleet_32_speedup\", \"unit\": \"x\", \"value\": 4.5, \
+             \"floor\": 3, \"pass\": true}"
+        ));
+        assert!(json.ends_with("\"pass\": true\n}\n"));
+        assert!(report.passes());
+
+        let summary = report.summary();
+        assert!(summary.starts_with("== fleet (quick true, fleet_devices 32)\n"));
+        assert!(summary.contains("fleet_32_speedup"));
+        assert!(summary.contains("[>= 3] ok"));
+        assert!(summary.ends_with("PASS\n"));
+
+        set(&mut report, "fleet_32_speedup", &[], 2.0);
+        assert!(!report.passes());
+        assert!(report.summary().contains("[>= 3] FAIL"));
+        assert!(report.summary().ends_with("FAIL\n"));
+    }
+
+    #[test]
+    fn sharded_report_serializes_and_gates_on_every_axis() {
+        let mut report = Report::new("sharded")
+            .param("quick", true)
+            .param("logical_cores", 4);
+        report.push(Metric::timing("s", vec![1.0, 1.0]));
+        report.push(Metric::new("probe_grid_speedup", "x", 2.1));
+        report.push(Metric::new("mobility_tick_speedup", "x", 1.6));
+        report.push(Metric::flag("churn_bit_identical", true));
+        report.push(Metric::flag("thread_scaling_skipped", false));
+        let single_core = report.clone();
+        for (workers, efficiency) in [(1, 1.0), (4, 0.8)] {
+            for metric in [
+                Metric::new("min_ms", "ms", 2.0),
+                Metric::new("speedup", "x", 4.0 * efficiency),
+                Metric::new("efficiency", "ratio", efficiency),
+                Metric::count("steals", 2),
+                Metric::new("mean_queue_wait_ms", "ms", 0.01),
+            ] {
+                report.push(metric.label("workers", workers).label("shards", workers));
+            }
+        }
+        gate_sharded(&mut report, false);
+
+        let json = report.to_json();
+        assert!(json.starts_with("{\n  \"suite\": \"sharded\",\n  \"quick\": true,"));
+        assert!(json.contains("\"logical_cores\": 4"));
+        assert!(json.contains(
+            "{\"name\": \"probe_grid_speedup\", \"unit\": \"x\", \"value\": 2.1, \
+             \"floor\": 1.5, \"pass\": true}"
+        ));
+        assert!(json.contains(
+            "{\"name\": \"mobility_tick_speedup\", \"unit\": \"x\", \"value\": 1.6, \
+             \"floor\": 1.3, \"pass\": true}"
+        ));
+        assert!(json.contains(
+            "{\"name\": \"thread_scaling_skipped\", \"unit\": \"bool\", \"value\": false}"
+        ));
+        assert!(json.contains(
+            "{\"name\": \"efficiency\", \"labels\": {\"workers\": \"4\", \"shards\": \"4\"}, \
+             \"unit\": \"ratio\", \"value\": 0.8, \"floor\": 0.6, \"pass\": true}"
+        ));
+        assert!(json.ends_with("\"pass\": true\n}\n"));
+        assert!(report.passes());
+
+        // Each gate fails the smoke on its own.
+        for (name, row, value) in [
+            ("probe_grid_speedup", &[][..], 1.2),
+            ("mobility_tick_speedup", &[], 1.1),
+            ("churn_bit_identical", &[], 0.0),
+            ("efficiency", &[("workers", "4")], 0.3),
+        ] {
+            let mut failing = report.clone();
+            set(&mut failing, name, row, value);
+            assert!(!failing.passes(), "{name} {row:?}");
+            assert_eq!(failing.failures().len(), 1, "{name} {row:?}");
+        }
+        // Only the largest worker count is gated.
+        let mut one_worker_slow = report;
+        set(&mut one_worker_slow, "efficiency", &[("workers", "1")], 0.3);
+        assert!(one_worker_slow.passes());
+
+        // A single-core host skips the scaling gate but stamps the skip.
+        let mut single_core = single_core;
+        set(&mut single_core, "thread_scaling_skipped", &[], 1.0);
+        gate_sharded(&mut single_core, true);
+        assert!(single_core.passes());
+        assert!(single_core.to_json().contains(
+            "{\"name\": \"thread_scaling_skipped\", \"unit\": \"bool\", \"value\": true}"
+        ));
+    }
+
     /// The probe kernel (scratch power probes + compiled-plan bias
     /// sweeps, see [`allocs_per_tick`]) must not touch the heap after
     /// warm-up in debug-assert builds. This covers that synthetic kernel
