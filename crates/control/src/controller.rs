@@ -7,10 +7,10 @@
 //! the supply's 50 Hz switching budget.
 
 use rfmath::telemetry::{RecorderHandle, TelemetryEvent};
-use rfmath::units::{Seconds, Volts};
+use rfmath::units::Seconds;
 
 use crate::psu::PowerSupply;
-use crate::sweep::{Probe, SweepConfig};
+use crate::sweep::{Probe, SweepConfig, Window};
 
 /// Controller lifecycle states.
 #[derive(Clone, Debug, PartialEq)]
@@ -230,7 +230,7 @@ pub struct Controller {
     phase: Phase,
     plan: Vec<Probe>,
     scores: Vec<Option<f64>>,
-    window: ((Volts, Volts), (Volts, Volts)),
+    window: Window,
     best: Option<(Probe, f64)>,
     applied_at: Option<Seconds>,
     /// Lost deliveries of the probe currently awaiting a report.
@@ -243,7 +243,7 @@ pub struct Controller {
 impl Controller {
     /// Creates a controller with the paper's sweep defaults.
     pub fn new(config: SweepConfig) -> Self {
-        let window = ((config.v_min, config.v_max), (config.v_min, config.v_max));
+        let window = Window::full(&config);
         Self {
             config,
             report_timeout: Seconds(0.1),
@@ -289,13 +289,10 @@ impl Controller {
 
     /// Begins an optimization: plans the first iteration's grid.
     pub fn start(&mut self) {
-        self.window = (
-            (self.config.v_min, self.config.v_max),
-            (self.config.v_min, self.config.v_max),
-        );
+        self.window = Window::full(&self.config);
         self.best = None;
         self.attempts = 0;
-        self.plan_iteration(0);
+        self.plan_iteration();
         self.events.push(Event::SweepStarted(
             self.plan.len() * self.config.iterations,
         ));
@@ -309,20 +306,15 @@ impl Controller {
         };
     }
 
-    fn plan_iteration(&mut self, _iteration: usize) {
+    /// Plans the current window's grid, in the sweep entries' visit
+    /// order.
+    fn plan_iteration(&mut self) {
         let t = self.config.steps_per_axis;
-        let ((lx, hx), (ly, hy)) = self.window;
-        let grid = |lo: Volts, hi: Volts, i: usize| {
-            Volts(lo.0 + (hi.0 - lo.0) * i as f64 / (t - 1) as f64)
-        };
         self.plan.clear();
         self.scores.clear();
         for ix in 0..t {
             for iy in 0..t {
-                self.plan.push(Probe {
-                    vx: grid(lx, hx, ix),
-                    vy: grid(ly, hy, iy),
-                });
+                self.plan.push(self.window.probe(t, ix, iy));
             }
         }
         self.scores.resize(self.plan.len(), None);
@@ -454,21 +446,10 @@ impl Controller {
         self.events.push(Event::Refined { iteration, winner });
 
         if iteration + 1 < self.config.iterations {
-            let t = self.config.steps_per_axis;
-            let ((lx, hx), (ly, hy)) = self.window;
-            let step_x = (hx.0 - lx.0) / (t - 1) as f64;
-            let step_y = (hy.0 - ly.0) / (t - 1) as f64;
-            self.window = (
-                (
-                    Volts((winner.vx.0 - step_x).max(self.config.v_min.0)),
-                    Volts((winner.vx.0 + step_x).min(self.config.v_max.0)),
-                ),
-                (
-                    Volts((winner.vy.0 - step_y).max(self.config.v_min.0)),
-                    Volts((winner.vy.0 + step_y).min(self.config.v_max.0)),
-                ),
-            );
-            self.plan_iteration(iteration + 1);
+            self.window = self
+                .window
+                .narrow(self.config.steps_per_axis, winner, &self.config);
+            self.plan_iteration();
             self.applied_at = None;
             self.phase = Phase::Sweeping {
                 next: 0,
@@ -505,6 +486,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::coarse_to_fine;
 
     /// Drives the controller against a synthetic power function until it
     /// converges; reports arrive `report_delay` after each application,
@@ -564,6 +546,30 @@ mod tests {
         let (best, _) = ctl.best().unwrap();
         assert!((best.vx.0 - 18.0).abs() < 2.0, "vx = {:?}", best.vx);
         assert!((best.vy.0 - 9.0).abs() < 2.0, "vy = {:?}", best.vy);
+    }
+
+    #[test]
+    fn probes_follow_the_sweep_window_rule() {
+        // With every report delivered, the controller applies exactly
+        // the probes `coarse_to_fine` visits, in the same order, and
+        // converges on the same winner.
+        let (ctl, _, _) = run(bump, None);
+        let applied: Vec<Probe> = ctl
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Applied(p) => Some(*p),
+                _ => None,
+            })
+            .collect();
+        let mut visits = Vec::new();
+        let sweep = coarse_to_fine(&SweepConfig::paper_default(), |p| {
+            visits.push(p);
+            bump(p)
+        });
+        assert_eq!(applied.len(), 50);
+        assert_eq!(applied, visits);
+        assert_eq!(ctl.best(), Some((sweep.best, sweep.best_metric)));
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// Telemetry of one [`FleetServer::serve`] run.
+/// Telemetry of one [`FleetServer::try_serve_with_stats`] run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServeStats {
     /// Jobs completed (always the submission count — the server never
@@ -404,42 +404,25 @@ impl FleetServer {
     }
 
     /// Runs every job through `handler` on the worker pool and returns
-    /// the results in submission order, plus run telemetry. The handler
-    /// receives `(submission index, job)` and must be pure per job —
-    /// jobs run concurrently in unspecified order.
+    /// the results in submission order. The handler receives
+    /// `(submission index, job)` and must be pure per job — jobs run
+    /// concurrently in unspecified order.
     ///
-    /// This is the legacy all-or-nothing front over
+    /// This is the all-or-nothing front over
     /// [`FleetServer::try_serve_with_stats`]: a failed job (panicked
     /// handler, blown deadline) re-raises as a panic on the submitting
     /// thread *after* the pool has drained — it still propagates, but it
     /// can no longer strand sibling jobs.
-    pub fn serve_with_stats<J, R>(
-        &self,
-        jobs: Vec<J>,
-        handler: impl Fn(usize, J) -> R + Sync,
-    ) -> (Vec<R>, ServeStats)
-    where
-        J: Send,
-        R: Send,
-    {
-        let (results, stats) = self.try_serve_with_stats(jobs, handler);
-        let out = results
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(e) => panic!("fleet server job failed: {e}"),
-            })
-            .collect();
-        (out, stats)
-    }
-
-    /// [`FleetServer::serve_with_stats`] without the telemetry.
     pub fn serve<J, R>(&self, jobs: Vec<J>, handler: impl Fn(usize, J) -> R + Sync) -> Vec<R>
     where
         J: Send,
         R: Send,
     {
-        self.serve_with_stats(jobs, handler).0
+        self.try_serve_with_stats(jobs, handler)
+            .0
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("fleet server job failed: {e}")))
+            .collect()
     }
 
     /// Splits a batch of incoming per-fleet reports into scored
@@ -485,11 +468,12 @@ mod tests {
     fn results_come_back_in_submission_order() {
         let server = FleetServer::new(3);
         let jobs: Vec<u64> = (0..40).collect();
-        let (out, stats) = server.serve_with_stats(jobs, |idx, n| {
+        let (out, stats) = server.try_serve_with_stats(jobs, |idx, n| {
             // Stagger completion so out-of-order finishes are likely.
             std::thread::sleep(std::time::Duration::from_micros(((n * 7) % 11) * 50));
             (idx, n * n)
         });
+        let out: Vec<_> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(out.len(), 40);
         for (i, (idx, sq)) in out.iter().enumerate() {
             assert_eq!(*idx, i);
@@ -538,17 +522,18 @@ mod tests {
         // shard: worker 1 can only make progress by stealing, and the
         // run must still complete with the stats recording the steals.
         let server = FleetServer::new(2).with_shards(1);
-        let (out, stats) = server.serve_with_stats((0..64u64).collect(), |_, n| {
+        let (out, stats) = server.try_serve_with_stats((0..64u64).collect(), |_, n| {
             std::thread::sleep(std::time::Duration::from_micros(50));
             n + 1
         });
+        let out: Vec<_> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(out, (1..=64).collect::<Vec<u64>>());
         // One shard, two workers: worker 1's home is shard 1 % 1 = 0 as
         // well, so no cross-shard steals here — now check a genuinely
         // imbalanced layout.
         assert_eq!(stats.shards, 1);
         let imbalanced = FleetServer::new(4).with_shards(2);
-        let (out, stats) = imbalanced.serve_with_stats((0..64u64).collect(), |_, n| {
+        let (out, stats) = imbalanced.try_serve_with_stats((0..64u64).collect(), |_, n| {
             std::thread::sleep(std::time::Duration::from_micros(200));
             n
         });
@@ -578,7 +563,8 @@ mod tests {
     #[test]
     fn more_jobs_than_workers_all_complete() {
         let server = FleetServer::new(2);
-        let (out, stats) = server.serve_with_stats((0..100u64).collect(), |_, n| n + 1);
+        let (out, stats) = server.try_serve_with_stats((0..100u64).collect(), |_, n| n + 1);
+        let out: Vec<_> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(out, (1..=100).collect::<Vec<u64>>());
         assert!(stats.workers_used >= 1 && stats.workers_used <= 2);
     }
@@ -661,7 +647,7 @@ mod tests {
     #[test]
     fn empty_job_list_is_a_clean_no_op() {
         let server = FleetServer::new(4);
-        let (out, stats) = server.serve_with_stats(Vec::<u64>::new(), |_, n| n);
+        let (out, stats) = server.try_serve_with_stats(Vec::<u64>::new(), |_, n| n);
         assert!(out.is_empty());
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.steals, 0);
@@ -678,7 +664,7 @@ mod tests {
         // waits: p50 <= p95 <= ~max plausible wall time of the run.
         let server = FleetServer::new(1);
         let n = 8u64;
-        let (_, stats) = server.serve_with_stats((0..n).collect(), |_, _| {
+        let (_, stats) = server.try_serve_with_stats((0..n).collect(), |_, _| {
             std::thread::sleep(std::time::Duration::from_millis(1));
         });
         assert!(stats.mean_queue_wait.0 > 0.0);
@@ -716,7 +702,7 @@ mod tests {
         assert_eq!(completed, 8);
         // Single worker homed on shard 0 over 2 shards: every job on
         // shard 1 arrives via a steal, and the events agree with stats.
-        let (_, stats) = server.serve_with_stats((0..8u64).collect(), |_, n| n);
+        let (_, stats) = server.try_serve_with_stats((0..8u64).collect(), |_, n| n);
         assert!(stats.steals > 0, "shard 1 can only drain by stealing");
     }
 

@@ -8,7 +8,6 @@
 //! (both axes swept jointly), so the whole search costs `0.02·N·T²` —
 //! with the paper's `N = 2, T = 5` that is one second instead of thirty.
 
-use rfmath::telemetry::{RecorderHandle, TelemetryEvent};
 use rfmath::units::{Seconds, Volts};
 
 /// Parameters of Algorithm 1.
@@ -80,8 +79,6 @@ pub struct SweepOutcome {
     pub probes: usize,
     /// Wall-clock cost at the configured switching period.
     pub duration: Seconds,
-    /// Every probe and its metric, in visit order (for heat-mapping).
-    pub history: Vec<(Probe, f64)>,
 }
 
 /// Outcome of a completed vector-objective sweep: the winning probe,
@@ -98,8 +95,91 @@ pub struct MultiSweepOutcome {
     pub probes: usize,
     /// Wall-clock cost at the configured switching period.
     pub duration: Seconds,
-    /// Every probe and its metric vector, in visit order.
-    pub history: Vec<(Probe, Vec<f64>)>,
+}
+
+/// Algorithm 1's window rule: the `(lo, hi)` voltage span searched on
+/// each axis. An iteration probes a `T×T` grid over the window; the next
+/// window is ±one grid step around the winner, clamped to the supply
+/// range. Both sweep entries and the event-stepped
+/// [`Controller`](crate::controller::Controller) plan their probes here.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Window {
+    x: (f64, f64),
+    y: (f64, f64),
+}
+
+impl Window {
+    /// The whole supply range of `config` on both axes.
+    pub(crate) fn full(config: &SweepConfig) -> Self {
+        let span = (config.v_min.0, config.v_max.0);
+        Self { x: span, y: span }
+    }
+
+    /// ±`half` around `center` per axis, clamped to `config`'s supply
+    /// range.
+    pub(crate) fn around(center: Probe, half: (f64, f64), config: &SweepConfig) -> Self {
+        let span = |c: f64, h: f64| ((c - h).max(config.v_min.0), (c + h).min(config.v_max.0));
+        Self {
+            x: span(center.vx.0, half.0),
+            y: span(center.vy.0, half.1),
+        }
+    }
+
+    /// Point `(ix, iy)` of a `t×t` grid over the window, capped at the
+    /// window's upper edge: the top point `lo + (hi − lo)` can round past
+    /// `hi`, and past the supply's `v_max`.
+    pub(crate) fn probe(&self, t: usize, ix: usize, iy: usize) -> Probe {
+        let grid = |(lo, hi): (f64, f64), i: usize| {
+            Volts((lo + (hi - lo) * i as f64 / (t - 1) as f64).min(hi))
+        };
+        Probe {
+            vx: grid(self.x, ix),
+            vy: grid(self.y, iy),
+        }
+    }
+
+    /// The next iteration's window: ±one step of this window's `t×t`
+    /// grid around `winner`. (The paper returns `[v − Vs, v]` per axis;
+    /// we center for symmetry.)
+    pub(crate) fn narrow(&self, t: usize, winner: Probe, config: &SweepConfig) -> Self {
+        let step = |(lo, hi): (f64, f64)| (hi - lo) / (t - 1) as f64;
+        Self::around(winner, (step(self.x), step(self.y)), config)
+    }
+}
+
+/// The refinement loop behind both sweep entries: `iterations` grids of
+/// `t×t` probes, the first over `window`, each later one narrowed around
+/// the running winner. The winner is the first probe to reach the
+/// highest score; `outcome` enters with the entry's seed winner and the
+/// probes it already spent, and leaves billed at `config`'s switching
+/// period.
+fn refine(
+    config: &SweepConfig,
+    t: usize,
+    iterations: usize,
+    mut window: Window,
+    mut outcome: MultiSweepOutcome,
+    mut measure: impl FnMut(Probe) -> Vec<f64>,
+    score: impl Fn(&[f64]) -> f64,
+) -> MultiSweepOutcome {
+    for _ in 0..iterations {
+        for ix in 0..t {
+            for iy in 0..t {
+                let probe = window.probe(t, ix, iy);
+                let m = measure(probe);
+                let s = score(&m);
+                outcome.probes += 1;
+                if s > outcome.best_score {
+                    outcome.best = probe;
+                    outcome.best_score = s;
+                    outcome.best_metrics = m;
+                }
+            }
+        }
+        window = window.narrow(t, outcome.best, config);
+    }
+    outcome.duration = Seconds(config.switch_period.0 * outcome.probes as f64);
+    outcome
 }
 
 /// Runs Algorithm 1 against a *vector* metric: each probe measures one
@@ -110,10 +190,11 @@ pub struct MultiSweepOutcome {
 /// N = 1 case).
 ///
 /// The refinement logic is byte-for-byte Algorithm 1: `N` iterations of
-/// a `T×T` grid, each window centred on the previous winner.
+/// a `T×T` grid, the first over the full supply range, each later one
+/// centred on the best probe so far.
 pub fn coarse_to_fine_multi(
     config: &SweepConfig,
-    mut measure: impl FnMut(Probe) -> Vec<f64>,
+    measure: impl FnMut(Probe) -> Vec<f64>,
     score: impl Fn(&[f64]) -> f64,
 ) -> MultiSweepOutcome {
     assert!(config.iterations >= 1, "need at least one iteration");
@@ -121,71 +202,25 @@ pub fn coarse_to_fine_multi(
         config.steps_per_axis >= 2,
         "need at least two steps per axis"
     );
-    let mut lo_x = config.v_min;
-    let mut hi_x = config.v_max;
-    let mut lo_y = config.v_min;
-    let mut hi_y = config.v_max;
-    let mut best = Probe {
-        vx: config.v_min,
-        vy: config.v_min,
+    let start = MultiSweepOutcome {
+        best: Probe {
+            vx: config.v_min,
+            vy: config.v_min,
+        },
+        best_score: f64::NEG_INFINITY,
+        best_metrics: Vec::new(),
+        probes: 0,
+        duration: Seconds(0.0),
     };
-    let mut best_score = f64::NEG_INFINITY;
-    let mut best_metrics: Vec<f64> = Vec::new();
-    let mut probes = 0usize;
-    // Every iteration records exactly T² probes; reserve the whole run
-    // up front so the history never reallocates mid-sweep.
-    let mut history =
-        Vec::with_capacity(config.iterations * config.steps_per_axis * config.steps_per_axis);
-
-    for _iter in 0..config.iterations {
-        let t = config.steps_per_axis;
-        let grid = |lo: Volts, hi: Volts, i: usize| {
-            Volts(lo.0 + (hi.0 - lo.0) * i as f64 / (t - 1) as f64)
-        };
-        let mut iter_best = best;
-        let mut iter_score = f64::NEG_INFINITY;
-        let mut iter_metrics: Vec<f64> = Vec::new();
-        for ix in 0..t {
-            for iy in 0..t {
-                let probe = Probe {
-                    vx: grid(lo_x, hi_x, ix),
-                    vy: grid(lo_y, hi_y, iy),
-                };
-                let m = measure(probe);
-                let s = score(&m);
-                probes += 1;
-                if s > iter_score {
-                    iter_score = s;
-                    iter_best = probe;
-                    iter_metrics = m.clone();
-                }
-                history.push((probe, m));
-            }
-        }
-        if iter_score > best_score {
-            best_score = iter_score;
-            best = iter_best;
-            best_metrics = iter_metrics;
-        }
-        // Narrow the window to one coarse step around the winner
-        // (the paper returns [v − Vs, v] per axis; we center for
-        // symmetry, clamped to the configured range).
-        let step_x = (hi_x.0 - lo_x.0) / (t - 1) as f64;
-        let step_y = (hi_y.0 - lo_y.0) / (t - 1) as f64;
-        lo_x = Volts((best.vx.0 - step_x).max(config.v_min.0));
-        hi_x = Volts((best.vx.0 + step_x).min(config.v_max.0));
-        lo_y = Volts((best.vy.0 - step_y).max(config.v_min.0));
-        hi_y = Volts((best.vy.0 + step_y).min(config.v_max.0));
-    }
-
-    MultiSweepOutcome {
-        best,
-        best_score,
-        best_metrics,
-        probes,
-        duration: Seconds(config.switch_period.0 * probes as f64),
-        history,
-    }
+    refine(
+        config,
+        config.steps_per_axis,
+        config.iterations,
+        Window::full(config),
+        start,
+        measure,
+        score,
+    )
 }
 
 /// Parameters of a warm-start re-optimization: a refinement sweep seeded
@@ -254,118 +289,30 @@ pub fn warm_refine_multi(
     assert!(warm.iterations >= 1, "need at least one warm iteration");
     assert!(warm.steps_per_axis >= 2, "need at least two steps per axis");
     assert!(warm.radius.0 > 0.0, "warm radius must be positive");
-    let clamp = |v: f64| v.clamp(config.v_min.0, config.v_max.0);
+    let clamp = |v: Volts| Volts(v.0.clamp(config.v_min.0, config.v_max.0));
     let center = Probe {
-        vx: Volts(clamp(center.vx.0)),
-        vy: Volts(clamp(center.vy.0)),
+        vx: clamp(center.vx),
+        vy: clamp(center.vy),
     };
-    let t = warm.steps_per_axis;
-    let mut history = Vec::with_capacity(1 + warm.iterations * t * t);
-
     // Probe 1: the carried-over bias itself.
-    let m0 = measure(center);
-    let mut best_score = score(&m0);
-    let mut best = center;
-    let mut best_metrics = m0.clone();
-    let mut probes = 1usize;
-    history.push((center, m0));
-
-    let mut lo_x = clamp(center.vx.0 - warm.radius.0);
-    let mut hi_x = clamp(center.vx.0 + warm.radius.0);
-    let mut lo_y = clamp(center.vy.0 - warm.radius.0);
-    let mut hi_y = clamp(center.vy.0 + warm.radius.0);
-    for _iter in 0..warm.iterations {
-        let grid = |lo: f64, hi: f64, i: usize| Volts(lo + (hi - lo) * i as f64 / (t - 1) as f64);
-        for ix in 0..t {
-            for iy in 0..t {
-                let probe = Probe {
-                    vx: grid(lo_x, hi_x, ix),
-                    vy: grid(lo_y, hi_y, iy),
-                };
-                let m = measure(probe);
-                let s = score(&m);
-                probes += 1;
-                if s > best_score {
-                    best_score = s;
-                    best = probe;
-                    best_metrics = m.clone();
-                }
-                history.push((probe, m));
-            }
-        }
-        // Narrow one grid step around the running winner, like the cold
-        // sweep's refinement rounds.
-        let step_x = (hi_x - lo_x) / (t - 1) as f64;
-        let step_y = (hi_y - lo_y) / (t - 1) as f64;
-        lo_x = clamp(best.vx.0 - step_x);
-        hi_x = clamp(best.vx.0 + step_x);
-        lo_y = clamp(best.vy.0 - step_y);
-        hi_y = clamp(best.vy.0 + step_y);
-    }
-
-    MultiSweepOutcome {
-        best,
-        best_score,
+    let best_metrics = measure(center);
+    let start = MultiSweepOutcome {
+        best: center,
+        best_score: score(&best_metrics),
         best_metrics,
-        probes,
-        duration: Seconds(config.switch_period.0 * probes as f64),
-        history,
-    }
-}
-
-/// [`coarse_to_fine_multi`] with telemetry: the whole sweep is timed as
-/// a `sweep.cold_ns` span, its probes tick the `sweep.probes` counter
-/// and land in the `sweep.probes_per_sweep` value histogram, and a
-/// [`TelemetryEvent::SweepSpan`] tagged with `panel` records the
-/// deterministic cost (probe count, not wall time) in the event log.
-/// With a null recorder this is exactly [`coarse_to_fine_multi`].
-pub fn coarse_to_fine_multi_traced(
-    recorder: &RecorderHandle,
-    panel: usize,
-    config: &SweepConfig,
-    measure: impl FnMut(Probe) -> Vec<f64>,
-    score: impl Fn(&[f64]) -> f64,
-) -> MultiSweepOutcome {
-    let span = recorder.span("sweep.cold_ns");
-    let outcome = coarse_to_fine_multi(config, measure, score);
-    drop(span);
-    if recorder.enabled() {
-        recorder.add("sweep.probes", outcome.probes as u64);
-        recorder.record_value("sweep.probes_per_sweep", outcome.probes as u64);
-        recorder.emit(TelemetryEvent::SweepSpan {
-            panel,
-            kind: "cold",
-            probes: outcome.probes,
-        });
-    }
-    outcome
-}
-
-/// [`warm_refine_multi`] with telemetry — the warm-start counterpart of
-/// [`coarse_to_fine_multi_traced`] (span `sweep.warm_ns`, event kind
-/// `"warm"`).
-pub fn warm_refine_multi_traced(
-    recorder: &RecorderHandle,
-    panel: usize,
-    config: &SweepConfig,
-    warm: &WarmConfig,
-    center: Probe,
-    measure: impl FnMut(Probe) -> Vec<f64>,
-    score: impl Fn(&[f64]) -> f64,
-) -> MultiSweepOutcome {
-    let span = recorder.span("sweep.warm_ns");
-    let outcome = warm_refine_multi(config, warm, center, measure, score);
-    drop(span);
-    if recorder.enabled() {
-        recorder.add("sweep.probes", outcome.probes as u64);
-        recorder.record_value("sweep.probes_per_sweep", outcome.probes as u64);
-        recorder.emit(TelemetryEvent::SweepSpan {
-            panel,
-            kind: "warm",
-            probes: outcome.probes,
-        });
-    }
-    outcome
+        probes: 1,
+        duration: Seconds(0.0),
+    };
+    let radius = (warm.radius.0, warm.radius.0);
+    refine(
+        config,
+        warm.steps_per_axis,
+        warm.iterations,
+        Window::around(center, radius, config),
+        start,
+        measure,
+        score,
+    )
 }
 
 /// Drives a block-coordinate-descent loop to a fixed point: calls
@@ -408,11 +355,6 @@ pub fn coarse_to_fine(config: &SweepConfig, mut measure: impl FnMut(Probe) -> f6
         best_metric: outcome.best_score,
         probes: outcome.probes,
         duration: outcome.duration,
-        history: outcome
-            .history
-            .into_iter()
-            .map(|(p, m)| (p, m[0]))
-            .collect(),
     }
 }
 
@@ -485,19 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn history_records_every_probe() {
-        let outcome = coarse_to_fine(&SweepConfig::paper_default(), bump(5.0, 5.0));
-        assert_eq!(outcome.history.len(), outcome.probes);
-        // The recorded best matches the history maximum.
-        let hist_best = outcome
-            .history
-            .iter()
-            .map(|(_, m)| *m)
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(hist_best, outcome.best_metric);
-    }
-
-    #[test]
     fn duration_scales_with_probes() {
         let outcome = coarse_to_fine(&SweepConfig::paper_default(), bump(5.0, 5.0));
         assert!((outcome.duration.0 - 0.02 * outcome.probes as f64).abs() < 1e-12);
@@ -507,12 +436,17 @@ mod tests {
     fn multi_with_identity_score_matches_scalar_sweep() {
         // The scalar sweep IS the N = 1 vector sweep: same winner, same
         // score, same visit order.
-        let scalar = coarse_to_fine(&SweepConfig::paper_default(), bump(17.3, 8.2));
+        let mut scalar_visits = Vec::new();
+        let scalar = coarse_to_fine(&SweepConfig::paper_default(), |p| {
+            scalar_visits.push(p);
+            bump(17.3, 8.2)(p)
+        });
+        let mut multi_visits = Vec::new();
         let multi = coarse_to_fine_multi(
             &SweepConfig::paper_default(),
-            {
-                let mut b = bump(17.3, 8.2);
-                move |p| vec![b(p)]
+            |p| {
+                multi_visits.push(p);
+                vec![bump(17.3, 8.2)(p)]
             },
             |m| m[0],
         );
@@ -520,10 +454,7 @@ mod tests {
         assert_eq!(scalar.best_metric, multi.best_score);
         assert_eq!(scalar.probes, multi.probes);
         assert_eq!(multi.best_metrics.len(), 1);
-        for ((pa, ma), (pb, mb)) in scalar.history.iter().zip(&multi.history) {
-            assert_eq!(pa, pb);
-            assert_eq!(*ma, mb[0]);
-        }
+        assert_eq!(scalar_visits, multi_visits);
     }
 
     #[test]
@@ -547,13 +478,6 @@ mod tests {
             outcome.best_metrics
         );
         assert!((outcome.best.vx.0 - 15.0).abs() < 3.0, "{:?}", outcome.best);
-        // And the winner's score is the max over the history's mins.
-        let hist_best = outcome
-            .history
-            .iter()
-            .map(|(_, m)| m.iter().copied().fold(f64::INFINITY, f64::min))
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(hist_best, outcome.best_score);
     }
 
     #[test]
@@ -574,7 +498,6 @@ mod tests {
             |m| m[0],
         );
         assert_eq!(outcome.probes, warm.probe_budget());
-        assert_eq!(outcome.history.len(), outcome.probes);
         assert!((outcome.duration.0 - 0.02 * outcome.probes as f64).abs() < 1e-12);
     }
 
@@ -599,7 +522,6 @@ mod tests {
             |m| m[0],
         );
         assert!(outcome.best_score >= center_score);
-        assert_eq!(outcome.history[0].0, center);
     }
 
     #[test]
@@ -636,25 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_refine_clamps_to_the_supply_range() {
-        // A center on the rail edge must keep every probe inside range.
-        let outcome = warm_refine_multi(
-            &SweepConfig::paper_default(),
-            &WarmConfig::paper_default(),
-            Probe {
-                vx: Volts(30.0),
-                vy: Volts(0.0),
-            },
-            |p| vec![-(p.vx.0 - 29.0).abs() - p.vy.0],
-            |m| m[0],
-        );
-        for (p, _) in &outcome.history {
-            assert!((0.0..=30.0).contains(&p.vx.0), "vx = {:?}", p.vx);
-            assert!((0.0..=30.0).contains(&p.vy.0), "vy = {:?}", p.vy);
-        }
-    }
-
-    #[test]
     fn noisy_metric_still_lands_near_peak() {
         // Deterministic pseudo-noise on top of the bump: the sweep should
         // still land in the right neighbourhood.
@@ -670,64 +573,6 @@ mod tests {
         });
         assert!((outcome.best.vx.0 - 20.0).abs() < 5.0);
         assert!((outcome.best.vy.0 - 12.0).abs() < 5.0);
-    }
-
-    #[test]
-    fn traced_sweeps_match_untraced_and_record_the_cost() {
-        use rfmath::telemetry::{RecorderHandle, RingRecorder, TelemetryEvent};
-        use std::sync::Arc;
-
-        let cfg = SweepConfig::paper_default();
-        let plain = coarse_to_fine_multi(
-            &cfg,
-            {
-                let mut b = bump(17.3, 8.2);
-                move |p| vec![b(p)]
-            },
-            |m| m[0],
-        );
-        let ring = Arc::new(RingRecorder::new(64));
-        let h = RecorderHandle::new(ring.clone());
-        let traced = coarse_to_fine_multi_traced(
-            &h,
-            3,
-            &cfg,
-            {
-                let mut b = bump(17.3, 8.2);
-                move |p| vec![b(p)]
-            },
-            |m| m[0],
-        );
-        // The wrapper must be observation-only: identical outcome.
-        assert_eq!(plain.best, traced.best);
-        assert_eq!(plain.best_score, traced.best_score);
-        assert_eq!(plain.probes, traced.probes);
-        assert_eq!(ring.counter("sweep.probes"), plain.probes as u64);
-        let events = ring.events();
-        assert!(matches!(
-            events.last(),
-            Some((
-                _,
-                _,
-                TelemetryEvent::SweepSpan {
-                    panel: 3,
-                    kind: "cold",
-                    ..
-                }
-            ))
-        ));
-        // Null recorder: no panic, no events, same outcome again.
-        let null = coarse_to_fine_multi_traced(
-            &RecorderHandle::null(),
-            0,
-            &cfg,
-            {
-                let mut b = bump(17.3, 8.2);
-                move |p| vec![b(p)]
-            },
-            |m| m[0],
-        );
-        assert_eq!(null.best, plain.best);
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! Property-based tests for the control plane: sweep envelopes, Eq. 13
-//! labeling consistency, SCPI round-trips under arbitrary inputs, and
-//! PSU rate-limit invariants.
+//! Property-based tests for the control plane: the Algorithm 1 sweep
+//! entries' probe range, cost and winner rule, Eq. 13 labeling
+//! consistency, SCPI round-trips under arbitrary inputs, and PSU
+//! rate-limit invariants.
 
 use control::psu::{PowerSupply, Reply};
 use control::scpi;
-use control::sweep::{coarse_to_fine, SweepConfig};
+use control::sweep::{
+    coarse_to_fine, coarse_to_fine_multi, warm_refine_multi, Probe, SweepConfig, WarmConfig,
+};
 use control::sync::BiasSchedule;
 use proptest::prelude::*;
 use rfmath::units::{Seconds, Volts};
@@ -26,27 +29,103 @@ proptest! {
         prop_assert!((outcome.duration.0 - 0.02 * (n * t * t) as f64).abs() < 1e-12);
     }
 
-    /// Probes never leave the configured voltage window.
+    /// Both Algorithm 1 entries, checked against a log of every probe
+    /// the test's own `measure` closure saw: random cold and warm
+    /// budgets, random supply ranges and warm centers (some outside the
+    /// range), on a smooth bump, a flat surface (every probe ties) and a
+    /// terraced one (ties between distant probes).
     #[test]
-    fn probes_stay_in_window(
-        lo in 0.0f64..10.0,
-        span in 5.0f64..20.0,
-        peak_x in 0.0f64..30.0,
-        peak_y in 0.0f64..30.0,
+    fn sweep_entries_probe_in_range_and_keep_the_first_maximum(
+        cold in (1usize..4, 2usize..7),
+        range in (0.0f64..10.0, 0.5f64..25.0),
+        warm in (1usize..4, 2usize..6, 0.25f64..12.0),
+        center in (-5.0f64..40.0, -5.0f64..40.0),
+        surface in (0u8..3, 0.0f64..30.0, 0.0f64..30.0),
     ) {
-        let cfg = SweepConfig {
-            iterations: 2,
-            steps_per_axis: 5,
-            v_min: Volts(lo),
-            v_max: Volts(lo + span),
+        let (iterations, steps_per_axis) = cold;
+        let (v_min, span) = range;
+        let (warm_iterations, warm_steps, radius) = warm;
+        let (kind, peak_x, peak_y) = surface;
+        let config = SweepConfig {
+            iterations,
+            steps_per_axis,
+            v_min: Volts(v_min),
+            v_max: Volts(v_min + span),
             switch_period: Seconds(0.02),
         };
-        let outcome = coarse_to_fine(&cfg, |p| {
-            -((p.vx.0 - peak_x).powi(2) + (p.vy.0 - peak_y).powi(2))
-        });
-        for (probe, _) in &outcome.history {
-            prop_assert!(probe.vx.0 >= lo - 1e-9 && probe.vx.0 <= lo + span + 1e-9);
-            prop_assert!(probe.vy.0 >= lo - 1e-9 && probe.vy.0 <= lo + span + 1e-9);
+        let warm = WarmConfig {
+            radius: Volts(radius),
+            steps_per_axis: warm_steps,
+            iterations: warm_iterations,
+            regression_db: 6.0,
+        };
+        let height = |p: Probe| {
+            let d2 = (p.vx.0 - peak_x).powi(2) + (p.vy.0 - peak_y).powi(2);
+            match kind {
+                0 => -d2,
+                1 => -40.0,
+                _ => -(d2 / 40.0).floor(),
+            }
+        };
+        // Two readings per probe; the score is their min, so the winner's
+        // metric vector is not just its score.
+        let metrics = |p: Probe| vec![height(p), height(p) + 1.0 + p.vx.0];
+        let score = |m: &[f64]| m.iter().copied().fold(f64::INFINITY, f64::min);
+
+        let mut cold_log: Vec<(Probe, Vec<f64>)> = Vec::new();
+        let cold_out = coarse_to_fine_multi(
+            &config,
+            |p| {
+                let m = metrics(p);
+                cold_log.push((p, m.clone()));
+                m
+            },
+            score,
+        );
+        prop_assert_eq!(cold_log.len(), iterations * steps_per_axis * steps_per_axis);
+
+        let center = Probe { vx: Volts(center.0), vy: Volts(center.1) };
+        let mut warm_log: Vec<(Probe, Vec<f64>)> = Vec::new();
+        let warm_out = warm_refine_multi(
+            &config,
+            &warm,
+            center,
+            |p| {
+                let m = metrics(p);
+                warm_log.push((p, m.clone()));
+                m
+            },
+            score,
+        );
+        prop_assert_eq!(warm_log.len(), warm.probe_budget());
+        let clamped = |v: f64| v.clamp(config.v_min.0, config.v_max.0);
+        prop_assert_eq!(
+            warm_log[0].0,
+            Probe { vx: Volts(clamped(center.vx.0)), vy: Volts(clamped(center.vy.0)) }
+        );
+
+        for (log, out) in [(&cold_log, &cold_out), (&warm_log, &warm_out)] {
+            for (p, _) in log {
+                prop_assert!(
+                    (config.v_min.0..=config.v_max.0).contains(&p.vx.0)
+                        && (config.v_min.0..=config.v_max.0).contains(&p.vy.0),
+                    "probe {p:?} outside [{}, {}]",
+                    config.v_min.0,
+                    config.v_max.0
+                );
+            }
+            prop_assert_eq!(out.probes, log.len());
+            prop_assert!((out.duration.0 - 0.02 * log.len() as f64).abs() < 1e-12);
+            // The winner is the *first* probe reaching the maximum score.
+            let mut first = 0;
+            for (i, (_, m)) in log.iter().enumerate() {
+                if score(m) > score(&log[first].1) {
+                    first = i;
+                }
+            }
+            prop_assert_eq!(out.best_score.to_bits(), score(&log[first].1).to_bits());
+            prop_assert_eq!(out.best, log[first].0);
+            prop_assert_eq!(&out.best_metrics, &log[first].1);
         }
     }
 

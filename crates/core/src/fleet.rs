@@ -532,8 +532,6 @@ pub struct FleetOutcome {
     pub probes: usize,
     /// Optimization wall-clock at the PSU switching budget.
     pub elapsed: Seconds,
-    /// Every probed shared bias and the per-device powers it produced.
-    pub history: Vec<(BiasState, Vec<f64>)>,
 }
 
 impl FleetOutcome {
@@ -550,7 +548,6 @@ impl FleetOutcome {
             score: f64::NEG_INFINITY,
             probes: 0,
             elapsed: Seconds(0.0),
-            history: Vec::new(),
         }
     }
 
@@ -727,7 +724,6 @@ impl Scheduler {
             }
             outcome.probes += cold.probes;
             outcome.duration = Seconds(outcome.duration.0 + cold.duration.0);
-            outcome.history.extend(cold.history);
         }
         self.shared_outcome(fleet, evaluator, outcome)
     }
@@ -790,18 +786,13 @@ impl Scheduler {
             score: outcome.best_score,
             probes: outcome.probes,
             elapsed: outcome.duration,
-            history: outcome
-                .history
-                .into_iter()
-                .map(|(p, m)| (BiasState { vx: p.vx, vy: p.vy }, m))
-                .collect(),
         }
     }
 
     /// Time division: a coarse full-range grid probes every device at
     /// once, then each device's refinement window is probed in one
     /// deduplicated shared batch; every device keeps the best bias *it*
-    /// saw anywhere in the probe history.
+    /// saw anywhere among the probes.
     fn run_time_division(&self, fleet: &Fleet, evaluator: &FleetEvaluator) -> FleetOutcome {
         let t = self.sweep.steps_per_axis.max(2);
         let n_dev = fleet.len();
@@ -817,19 +808,19 @@ impl Scheduler {
                 ));
             }
         }
-        let mut history: Vec<(BiasState, Vec<f64>)> = biases
+        let mut probed: Vec<(BiasState, Vec<f64>)> = biases
             .iter()
             .copied()
             .zip(evaluator.powers_matrix(&biases))
             .collect();
 
         // Per-device winners of round 1 seed the refinement windows.
-        let winner_of = |history: &[(BiasState, Vec<f64>)], d: usize| {
-            history
+        let winner_of = |probed: &[(BiasState, Vec<f64>)], d: usize| {
+            probed
                 .iter()
                 .max_by(|a, b| a.1[d].total_cmp(&b.1[d]))
                 .map(|(b, m)| (*b, m[d]))
-                .expect("non-empty history")
+                .expect("round 1 probed the grid")
         };
 
         // The refinement window narrows geometrically round over round,
@@ -839,12 +830,12 @@ impl Scheduler {
         let mut step = (self.sweep.v_max.0 - self.sweep.v_min.0) / (t - 1) as f64;
         for _ in 1..self.sweep.iterations {
             let mut refined: Vec<BiasState> = Vec::new();
-            let mut seen: Vec<(u64, u64)> = history
+            let mut seen: Vec<(u64, u64)> = probed
                 .iter()
                 .map(|(b, _)| (b.vx.0.to_bits(), b.vy.0.to_bits()))
                 .collect();
             for d in 0..n_dev {
-                let (best, _) = winner_of(&history, d);
+                let (best, _) = winner_of(&probed, d);
                 let lo_x = (best.vx.0 - step).max(self.sweep.v_min.0);
                 let hi_x = (best.vx.0 + step).min(self.sweep.v_max.0);
                 let lo_y = (best.vy.0 - step).max(self.sweep.v_min.0);
@@ -863,7 +854,7 @@ impl Scheduler {
             if refined.is_empty() {
                 break;
             }
-            history.extend(
+            probed.extend(
                 refined
                     .iter()
                     .copied()
@@ -885,7 +876,7 @@ impl Scheduler {
             .iter()
             .enumerate()
             .map(|(d, device)| {
-                let (bias, power) = winner_of(&history, d);
+                let (bias, power) = winner_of(&probed, d);
                 DeviceService {
                     label: device.label.clone(),
                     bias,
@@ -900,7 +891,7 @@ impl Scheduler {
                 }
             })
             .collect();
-        let probes = history.len();
+        let probes = probed.len();
         let score = per_device.iter().map(|d| d.throughput_bits_hz).sum();
         FleetOutcome {
             policy: self.policy,
@@ -909,7 +900,6 @@ impl Scheduler {
             score,
             probes,
             elapsed: Seconds(self.sweep.switch_period.0 * probes as f64),
-            history,
         }
     }
 }
@@ -966,13 +956,25 @@ mod tests {
         assert!(outcome.per_device.iter().all(|d| d.duty == 1.0));
         // The score is the worst link's power.
         assert!((outcome.score - outcome.min_power_dbm()).abs() < 1e-12);
-        // And it is the best worst-link over everything probed.
-        let hist_best = outcome
-            .history
+        // And it is the best worst link over everything probed: the same
+        // sweep, replayed with its probes recorded.
+        let evaluator = FleetEvaluator::new(&small_fleet());
+        let mut worst_links = Vec::new();
+        coarse_to_fine_multi(
+            &Scheduler::max_min().sweep,
+            |p| {
+                let powers = evaluator.powers_dbm(BiasState { vx: p.vx, vy: p.vy });
+                worst_links.push(powers.iter().copied().fold(f64::INFINITY, f64::min));
+                powers
+            },
+            |m| m.iter().copied().fold(f64::INFINITY, f64::min),
+        );
+        assert!(worst_links.iter().all(|&w| outcome.score >= w));
+        let best = worst_links
             .iter()
-            .map(|(_, m)| m.iter().copied().fold(f64::INFINITY, f64::min))
+            .copied()
             .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(outcome.score, hist_best);
+        assert_eq!(outcome.score, best);
     }
 
     #[test]
@@ -1010,7 +1012,7 @@ mod tests {
     fn time_division_beats_shared_bias_per_device() {
         // Per-device optima must each be at least as good as any single
         // shared compromise bias (they are per-device maxima over a
-        // superset of the shared history... same grid family), and the
+        // superset of the shared probes... same grid family), and the
         // duty cycle must split the airtime.
         let fleet = small_fleet();
         let tdm = Scheduler::time_division().run(&fleet);
@@ -1077,8 +1079,6 @@ mod tests {
         assert_eq!(warm.probes, warm_cfg.probe_budget());
         assert!(warm.probes < cold.probes, "warm must be cheaper");
         assert!(warm.shared_bias.is_some());
-        // The history starts at the carried-over bias.
-        assert_eq!(warm.history[0].0, cold.shared_bias.unwrap());
     }
 
     #[test]
@@ -1194,7 +1194,6 @@ mod tests {
             assert!(outcome.shared_bias.is_none());
             assert_eq!(outcome.min_power_dbm(), f64::NEG_INFINITY);
             assert_eq!(outcome.total_throughput_bits_hz(), 0.0);
-            assert!(outcome.history.is_empty());
         }
     }
 

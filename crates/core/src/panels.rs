@@ -590,7 +590,7 @@ pub struct PanelAllocation {
     /// Fleet-order indices of the devices this panel serves.
     pub devices: Vec<usize>,
     /// The panel's own scheduling outcome (its bias, per-device service,
-    /// probe history); [`FleetOutcome::empty`] for an idle panel.
+    /// probe bill); [`FleetOutcome::empty`] for an idle panel.
     pub outcome: FleetOutcome,
 }
 
@@ -636,10 +636,10 @@ impl PanelOutcome {
     /// True when `other` is the *same allocation*: identical device →
     /// panel assignment, per-panel biases, per-device served powers and
     /// fleet score, compared exactly (bit-for-bit on the floats). Probe
-    /// counts and histories are deliberately excluded — a warm-started
-    /// or reused re-optimization that lands on the same allocation at a
-    /// fraction of the probe bill *is* equivalent, and that distinction
-    /// is the mobility simulator's whole point.
+    /// counts are deliberately excluded — a warm-started or reused
+    /// re-optimization that lands on the same allocation at a fraction
+    /// of the probe bill *is* equivalent, and that distinction is the
+    /// mobility simulator's whole point.
     pub fn same_allocation(&self, other: &PanelOutcome) -> bool {
         self.assignment == other.assignment
             && self.score.to_bits() == other.score.to_bits()
@@ -757,76 +757,6 @@ impl PanelScheduler {
         caches: &[(&'static str, PlanCache)],
     ) -> PanelOutcome {
         let assignment = array.assign_with_caches(fleet, &self.assignment, caches);
-        let independent = self.run_assigned(
-            fleet,
-            array,
-            assignment,
-            caches,
-            "cold",
-            |_, scheduler, sub, eval| scheduler.run_with_evaluator(sub, eval),
-        );
-        match &self.joint {
-            Some(cfg) => self.joint_refine(fleet, array, caches, independent, cfg),
-            None => independent,
-        }
-    }
-
-    /// Warm-start re-optimization against a previous outcome: every
-    /// panel keeps `prev`'s device assignment and refines from its own
-    /// previous bias through [`Scheduler::run_warm`] (per-panel cold
-    /// widening included). Re-assignment under mobility is deliberately
-    /// *not* this method's job — the simulator's hysteresis policy
-    /// ([`crate::sim::HandoffPolicy`]) owns that decision, because a
-    /// bare re-assignment per tick would flap devices between panels on
-    /// every fade. This is the stateless warm front; the event-stepped
-    /// simulator ([`crate::sim::MobilitySim`]) adds persistent
-    /// evaluators on top so unchanged links are not even re-prepared.
-    ///
-    /// Joint refinement is deliberately *not* applied here: the warm
-    /// path is the per-tick mobility fast path, and the simulator
-    /// rejects joint-mode schedulers up front.
-    pub fn run_warm(
-        &self,
-        fleet: &Fleet,
-        array: &PanelArray,
-        prev: &PanelOutcome,
-        warm: &WarmConfig,
-    ) -> PanelOutcome {
-        assert_eq!(
-            prev.assignment.len(),
-            fleet.len(),
-            "previous outcome covers a different fleet"
-        );
-        assert_eq!(
-            prev.per_panel.len(),
-            array.len(),
-            "previous outcome ran on a different array"
-        );
-        let caches = array.plan_caches();
-        self.run_assigned(
-            fleet,
-            array,
-            prev.assignment.clone(),
-            &caches,
-            "warm",
-            |k, scheduler, sub, eval| {
-                scheduler.run_warm(sub, eval, &prev.per_panel[k].outcome, warm)
-            },
-        )
-    }
-
-    /// The shared per-panel scheduling loop: split `fleet` under a fixed
-    /// `assignment`, run `schedule` per populated panel (empty panels
-    /// take the empty-fleet guard), and assemble the array outcome.
-    fn run_assigned(
-        &self,
-        fleet: &Fleet,
-        array: &PanelArray,
-        assignment: Vec<usize>,
-        caches: &[(&'static str, PlanCache)],
-        kind: &'static str,
-        schedule: impl Fn(usize, &Scheduler, &Fleet, &FleetEvaluator) -> FleetOutcome,
-    ) -> PanelOutcome {
         let traced = self.recorder.enabled();
         let subfleets = array.subfleets(fleet, &assignment);
         let mut per_panel = Vec::with_capacity(array.len());
@@ -842,7 +772,7 @@ impl PanelScheduler {
             } else {
                 let cache = PanelArray::cache_for(caches, &array.panels()[k].design);
                 let evaluator = FleetEvaluator::with_plan_cache(&subfleet, cache);
-                schedule(k, &scheduler, &subfleet, &evaluator)
+                scheduler.run_with_evaluator(&subfleet, &evaluator)
             };
             probes += outcome.probes;
             elapsed = elapsed.max(outcome.elapsed.0);
@@ -851,7 +781,7 @@ impl PanelScheduler {
                     .record_value("panels.probes_per_panel", outcome.probes as u64);
                 self.recorder.emit(TelemetryEvent::SweepSpan {
                     panel: k,
-                    kind,
+                    kind: "cold",
                     probes: outcome.probes,
                 });
             }
@@ -869,7 +799,7 @@ impl PanelScheduler {
             .into_iter()
             .map(|s| s.expect("every device is assigned to exactly one panel"))
             .collect();
-        let mut outcome = PanelOutcome {
+        let mut independent = PanelOutcome {
             assignment,
             per_panel,
             per_device,
@@ -878,8 +808,11 @@ impl PanelScheduler {
             score: f64::NEG_INFINITY,
             joint: None,
         };
-        outcome.score = outcome.min_power_dbm();
-        outcome
+        independent.score = independent.min_power_dbm();
+        match &self.joint {
+            Some(cfg) => self.joint_refine(fleet, array, caches, independent, cfg),
+            None => independent,
+        }
     }
 
     /// The joint refinement stage: block coordinate descent from the
@@ -1033,7 +966,6 @@ impl PanelScheduler {
                     },
                     probes: panel_probes[k],
                     elapsed: Seconds(panel_elapsed[k]),
-                    history: Vec::new(),
                 },
             });
         }
@@ -1568,23 +1500,6 @@ mod tests {
         let p0 = all_on_one(0);
         let p2 = all_on_one(2);
         assert!(p0.iter().zip(&p2).any(|(a, b)| (a - b).abs() > 1e-9));
-    }
-
-    #[test]
-    fn warm_panel_run_keeps_assignment_and_never_regresses() {
-        let fleet = Fleet::mixed_wifi_ble(8, 77);
-        let array = PanelArray::uniform(fleet.design.clone(), 2);
-        let scheduler = PanelScheduler::max_min();
-        let cold = scheduler.run(&fleet, &array);
-        let warm = scheduler.run_warm(&fleet, &array, &cold, &WarmConfig::paper_default());
-        assert_eq!(warm.assignment, cold.assignment);
-        assert!(
-            warm.min_power_dbm() >= cold.min_power_dbm(),
-            "warm {:.2} vs cold {:.2} dBm",
-            warm.min_power_dbm(),
-            cold.min_power_dbm()
-        );
-        assert!(warm.probes < cold.probes, "warm must spend fewer probes");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //!   probed shared bias (it is the arg-max of the min — no probed
 //!   compromise can beat it).
 
+use control::sweep::coarse_to_fine_multi;
 use llama_core::fleet::{Fleet, FleetDevice, FleetEvaluator, Scheduler};
 use metasurface::stack::BiasState;
 use proptest::prelude::*;
@@ -75,16 +76,32 @@ proptest! {
     /// every shared bias the search probed.
     #[test]
     fn max_min_dominates_every_probed_bias(f in fleet(5), _pad in 0u8..2) {
-        let outcome = Scheduler::max_min().run(&f);
-        for (bias, powers) in &outcome.history {
-            let worst = powers.iter().copied().fold(f64::INFINITY, f64::min);
+        let scheduler = Scheduler::max_min();
+        let outcome = scheduler.run(&f);
+        // The scheduler's sweep, replayed with every probe recorded.
+        let evaluator = FleetEvaluator::new(&f);
+        let min = |m: &[f64]| m.iter().copied().fold(f64::INFINITY, f64::min);
+        let mut probed = Vec::new();
+        coarse_to_fine_multi(
+            &scheduler.sweep,
+            |p| {
+                let bias = BiasState { vx: p.vx, vy: p.vy };
+                let powers = evaluator.powers_dbm(bias);
+                probed.push((bias, min(&powers)));
+                powers
+            },
+            min,
+        );
+        for (bias, worst) in &probed {
             prop_assert!(
-                outcome.score >= worst - 1e-12,
+                outcome.score >= *worst,
                 "probed bias {bias:?} has worst link {worst:.3} dBm above the \
                  scheduler's {:.3} dBm",
                 outcome.score
             );
         }
+        let best = probed.iter().map(|(_, w)| *w).fold(f64::NEG_INFINITY, f64::max);
+        prop_assert_eq!(outcome.score, best);
         // And the reported per-device powers are exactly the winner's.
         let worst_reported = outcome
             .per_device
