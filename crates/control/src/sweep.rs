@@ -427,6 +427,25 @@ mod tests {
     }
 
     #[test]
+    fn history_records_every_probe() {
+        // The closure sees every probe once, and the reported best is the
+        // maximum of what it saw.
+        let mut seen = Vec::new();
+        let mut b = bump(5.0, 5.0);
+        let outcome = coarse_to_fine(&SweepConfig::paper_default(), |p| {
+            let m = b(p);
+            seen.push((p, m));
+            m
+        });
+        assert_eq!(seen.len(), outcome.probes);
+        let seen_best = seen
+            .iter()
+            .map(|(_, m)| *m)
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(seen_best, outcome.best_metric);
+    }
+
+    #[test]
     fn duration_scales_with_probes() {
         let outcome = coarse_to_fine(&SweepConfig::paper_default(), bump(5.0, 5.0));
         assert!((outcome.duration.0 - 0.02 * outcome.probes as f64).abs() < 1e-12);
@@ -555,6 +574,30 @@ mod tests {
             "vy = {:?}",
             outcome.best.vy
         );
+    }
+
+    #[test]
+    fn warm_refine_clamps_to_the_supply_range() {
+        // A center on the rail edge must keep every probe inside range.
+        let mut seen = Vec::new();
+        let outcome = warm_refine_multi(
+            &SweepConfig::paper_default(),
+            &WarmConfig::paper_default(),
+            Probe {
+                vx: Volts(30.0),
+                vy: Volts(0.0),
+            },
+            |p| {
+                seen.push(p);
+                vec![-(p.vx.0 - 29.0).abs() - p.vy.0]
+            },
+            |m| m[0],
+        );
+        assert_eq!(seen.len(), outcome.probes);
+        for p in &seen {
+            assert!((0.0..=30.0).contains(&p.vx.0), "vx = {:?}", p.vx);
+            assert!((0.0..=30.0).contains(&p.vy.0), "vy = {:?}", p.vy);
+        }
     }
 
     #[test]

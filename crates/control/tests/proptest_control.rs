@@ -1,5 +1,5 @@
 //! Property-based tests for the control plane: the Algorithm 1 sweep
-//! entries' probe range, cost and winner rule, Eq. 13 labeling
+//! window and entries' probe range, cost and winner rule, Eq. 13 labeling
 //! consistency, SCPI round-trips under arbitrary inputs, and PSU
 //! rate-limit invariants.
 
@@ -27,6 +27,33 @@ proptest! {
         let outcome = coarse_to_fine(&cfg, |p| -(p.vx.0 + p.vy.0));
         prop_assert_eq!(outcome.probes, n * t * t);
         prop_assert!((outcome.duration.0 - 0.02 * (n * t * t) as f64).abs() < 1e-12);
+    }
+
+    /// Probes never leave the configured voltage window.
+    #[test]
+    fn probes_stay_in_window(
+        lo in 0.0f64..10.0,
+        span in 5.0f64..20.0,
+        peak_x in 0.0f64..30.0,
+        peak_y in 0.0f64..30.0,
+    ) {
+        let cfg = SweepConfig {
+            iterations: 2,
+            steps_per_axis: 5,
+            v_min: Volts(lo),
+            v_max: Volts(lo + span),
+            switch_period: Seconds(0.02),
+        };
+        let mut seen = Vec::new();
+        let outcome = coarse_to_fine(&cfg, |p| {
+            seen.push(p);
+            -((p.vx.0 - peak_x).powi(2) + (p.vy.0 - peak_y).powi(2))
+        });
+        prop_assert_eq!(seen.len(), outcome.probes);
+        for probe in &seen {
+            prop_assert!(probe.vx.0 >= lo && probe.vx.0 <= lo + span);
+            prop_assert!(probe.vy.0 >= lo && probe.vy.0 <= lo + span);
+        }
     }
 
     /// Both Algorithm 1 entries, checked against a log of every probe
