@@ -471,6 +471,110 @@ mod tests {
         }
     }
 
+    /// One warm run on a roaming fleet over a 3-panel distributed array
+    /// under `BestReference`, eager handoff and a scripted outage of
+    /// panel 0 over `[3 s, 6 s)` that heals mid-run.
+    fn faulted_roaming_run(seed: u64) -> SimReport {
+        use crate::faults::{FaultWindow, PanelOutage};
+        let ticks = 10;
+        let mut fleet = DynamicFleet::roaming_mixed(8, seed, Seconds(ticks as f64));
+        let array = PanelArray::distributed(fleet.fleet().design.clone(), 3);
+        let mut plan = FaultPlan::none();
+        plan.outages.push(PanelOutage {
+            panel: 0,
+            window: FaultWindow {
+                start: Seconds(3.0),
+                duration: Seconds(3.0),
+            },
+        });
+        let config = SimConfig::default().with_handoff(HandoffPolicy {
+            hysteresis_db: 0.0,
+            dwell_ticks: 1,
+            ..HandoffPolicy::default()
+        });
+        MobilitySim::new(
+            PanelScheduler::max_min().with_assignment(Assignment::BestReference),
+            config,
+        )
+        .with_faults(plan)
+        .run(&mut fleet, &array, ticks)
+    }
+
+    /// FNV-1a over every per-tick decision and counter of a run, except
+    /// `links_reprepared` and `wall_ms`.
+    fn run_digest(report: &SimReport) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for tick in &report.ticks {
+            mix(tick.t.0.to_bits());
+            tick.moved.iter().for_each(|&d| mix(d as u64));
+            tick.outcome.assignment.iter().for_each(|&k| mix(k as u64));
+            for bias in &tick.applied {
+                mix(bias.vx.0.to_bits());
+                mix(bias.vy.0.to_bits());
+            }
+            for service in &tick.outcome.per_device {
+                mix(service.power_dbm.to_bits());
+            }
+            mix(tick.served_min_power_dbm.to_bits());
+            mix(tick.served_throughput_bits_hz.to_bits());
+            tick.panel_duty.iter().for_each(|d| mix(d.to_bits()));
+            for count in [
+                tick.outcome.probes,
+                tick.handoffs,
+                tick.deferred_switches,
+                tick.links_rebound,
+                tick.cold_panels,
+                tick.warm_panels,
+                tick.reused_panels,
+                tick.outaged_panels,
+                tick.fault_reassignments,
+                tick.revival_readmissions,
+                tick.reports_lost,
+                tick.reports_exhausted,
+                tick.psu_glitches,
+            ] {
+                mix(count as u64);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn a_faulted_roaming_run_matches_its_golden_digest() {
+        // Seed 0 is the first of 0..64 whose run has a tick where two
+        // re-homing rules both move devices. On three panels two rules
+        // that each move someone always share a panel: every move
+        // touches two distinct panels, and 2 + 2 > 3.
+        let report = faulted_roaming_run(0);
+        let total =
+            |count: fn(&TickOutcome) -> usize| report.ticks.iter().map(count).sum::<usize>();
+        assert!(
+            total(|t| t.fault_reassignments) > 0,
+            "the outage strands someone"
+        );
+        assert!(
+            total(|t| t.revival_readmissions) > 0,
+            "the healed panel readmits someone"
+        );
+        assert!(total(|t| t.handoffs) > 0, "eager hysteresis hands off");
+        assert!(
+            report.ticks.iter().any(|t| {
+                [t.fault_reassignments, t.revival_readmissions, t.handoffs]
+                    .iter()
+                    .filter(|&&moves| moves > 0)
+                    .count()
+                    >= 2
+            }),
+            "some tick runs two re-homing rules"
+        );
+        assert_eq!(run_digest(&report), 0x2dac_ff11_7c99_9593);
+    }
+
     #[test]
     fn dead_columns_degrade_but_do_not_kill_service() {
         use crate::faults::{Axis, CellFault, CellFaultKind};
