@@ -68,12 +68,12 @@ fn point_metrics(rate: f64, sim: &SimReport) -> Vec<Metric> {
     [
         Metric::new("mean_duty", "ratio", sim.mean_duty()),
         Metric::new("mean_min_power_dbm", "dBm", sim.mean_served_min_power_dbm()),
-        Metric::count("outaged_panel_ticks", sim.total_outaged_panel_ticks()),
-        Metric::count("reassignments", sim.total_fault_reassignments()),
-        Metric::count("reports_lost", sim.total_reports_lost()),
-        Metric::count("reports_exhausted", sim.total_reports_exhausted()),
-        Metric::count("psu_glitches", sim.total_psu_glitches()),
-        Metric::count("handoffs", sim.handoffs),
+        Metric::count("outaged_panel_ticks", sim.total(|t| t.outaged_panels)),
+        Metric::count("reassignments", sim.total(|t| t.fault_reassignments)),
+        Metric::count("reports_lost", sim.total(|t| t.reports_lost)),
+        Metric::count("reports_exhausted", sim.total(|t| t.reports_exhausted)),
+        Metric::count("psu_glitches", sim.total(|t| t.psu_glitches)),
+        Metric::count("handoffs", sim.total(|t| t.handoffs)),
     ]
     .into_iter()
     .map(|m| m.label("rate", rate_label(rate)))
@@ -186,7 +186,7 @@ pub fn joint_smoke(name: &str, seed: u64) -> Result<Vec<Metric>, String> {
 /// throughput, duty and applied biases all compared on raw bits.
 fn bitwise_identical(a: &SimReport, b: &SimReport) -> bool {
     a.ticks.len() == b.ticks.len()
-        && a.handoffs == b.handoffs
+        && a.total(|t| t.handoffs) == b.total(|t| t.handoffs)
         && a.ticks.iter().zip(&b.ticks).all(|(x, y)| {
             x.outcome.same_allocation(&y.outcome)
                 && x.served_min_power_dbm.to_bits() == y.served_min_power_dbm.to_bits()

@@ -456,16 +456,22 @@ pub fn run_mobility(quick: bool) -> Report {
         "x",
         cold.wall_ms / warm.wall_ms.max(1e-9),
     ));
-    report.push(Metric::count("cold_probes", cold.total_probes()));
-    report.push(Metric::count("warm_probes", warm.total_probes()));
+    report.push(Metric::count(
+        "cold_probes",
+        cold.total(|t| t.outcome.probes),
+    ));
+    report.push(Metric::count(
+        "warm_probes",
+        warm.total(|t| t.outcome.probes),
+    ));
     report.push(Metric::new(
         "warm_probe_fraction",
         "ratio",
-        warm.total_probes() as f64 / cold.total_probes() as f64,
+        warm.total(|t| t.outcome.probes) as f64 / cold.total(|t| t.outcome.probes) as f64,
     ));
     report.push(Metric::new("cold_mean_duty", "ratio", cold.mean_duty()));
     report.push(Metric::new("warm_mean_duty", "ratio", warm.mean_duty()));
-    report.push(Metric::count("warm_handoffs", warm.handoffs));
+    report.push(Metric::count("warm_handoffs", warm.total(|t| t.handoffs)));
     report.push(Metric::flag(
         "zero_motion_equivalent",
         zero_motion_equivalent,
@@ -498,7 +504,7 @@ pub fn run_mobility(quick: bool) -> Report {
             .run(&mut fleet, &array, ticks)
         };
         for metric in [
-            Metric::count("handoffs", sim.handoffs),
+            Metric::count("handoffs", sim.total(|t| t.handoffs)),
             Metric::new("mean_min_power_dbm", "dBm", sim.mean_served_min_power_dbm()),
             Metric::new("mean_duty", "ratio", sim.mean_duty()),
         ] {
@@ -536,8 +542,8 @@ pub(crate) fn gate_mobility(report: &mut Report, quick: bool) {
 const SOA_PROBE_GRID_FLOOR: f64 = 1.5;
 
 /// Minimum optimized-vs-churn-baseline speedup on the single-thread
-/// warm mobility tick (arena rebinds + SoA batch vs allocating rebinds
-/// + reference AoS batch).
+/// warm mobility tick (arena rebinds + scratch probes vs allocating
+/// rebinds + allocating `received_dbm_with` probes).
 const MOBILITY_TICK_FLOOR: f64 = 1.3;
 
 /// Minimum per-thread scaling efficiency at the largest measured worker
@@ -551,10 +557,10 @@ const SCALING_EFFICIENCY_FLOOR: f64 = 0.6;
 /// * **probe grid** — [`StackEvaluator::eval_batch`] (the SoA slab
 ///   kernel) vs [`StackEvaluator::eval_batch_reference`] (the per-cell
 ///   AoS fold) on one compiled plan and a large distinct-bias batch;
-/// * **mobility tick** — the warm engine with arena rebinds + SoA
-///   batches vs the same engine under
-///   [`SimConfig::with_churn_baseline`] (allocating rebinds, reference
-///   batch kernel), same seed, bit-identical outcomes;
+/// * **mobility tick** — the warm engine with arena rebinds + scratch
+///   probes vs the same engine under
+///   [`SimConfig::with_churn_baseline`] (allocating rebinds, allocating
+///   `received_dbm_with` probes), same seed, bit-identical outcomes;
 /// * **thread scaling** — [`serve_fleets`] throughput across worker
 ///   counts on the sharded work-stealing queue, with an instrumented
 ///   pass recording steals and queue wait (skipped-but-stamped on

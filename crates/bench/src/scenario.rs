@@ -35,10 +35,10 @@ pub fn run(name: &str, seed: u64) -> Result<Report, String> {
     for metric in [
         Metric::new("mean_duty", "ratio", sim.mean_duty()),
         Metric::new("mean_min_power_dbm", "dBm", sim.mean_served_min_power_dbm()),
-        Metric::count("probes", sim.total_probes()),
-        Metric::count("links_reprepared", sim.total_links_reprepared()),
-        Metric::count("links_rebound", sim.total_links_rebound()),
-        Metric::count("handoffs", sim.handoffs),
+        Metric::count("probes", sim.total(|t| t.outcome.probes)),
+        Metric::count("links_reprepared", sim.total(|t| t.links_reprepared)),
+        Metric::count("links_rebound", sim.total(|t| t.links_rebound)),
+        Metric::count("handoffs", sim.total(|t| t.handoffs)),
         Metric::new("wall_ms", "ms", sim.wall_ms),
     ] {
         report.push(metric);

@@ -48,11 +48,11 @@ use metasurface::designs::Design;
 use metasurface::evaluator::{PlanCache, StackEvaluator};
 use metasurface::response::{Metasurface, SurfaceResponse};
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
-use propagation::capacity::{capacity_bits, duty_cycled_throughput};
+use propagation::capacity::duty_cycled_throughput;
 use propagation::link::PreparedLink;
 use propagation::rays::Deployment;
 use rfmath::rng::SeedSplitter;
-use rfmath::units::{Dbm, Degrees, Meters, Seconds, Volts};
+use rfmath::units::{Dbm, Degrees, Hertz, Meters, Seconds, Volts};
 
 use crate::scenario::Scenario;
 
@@ -199,6 +199,27 @@ impl Fleet {
         self.devices.len()
     }
 
+    /// The distinct carriers in first-appearance order, and each
+    /// device's index into them.
+    pub(crate) fn carriers(&self) -> (Vec<Hertz>, Vec<usize>) {
+        let mut carriers: Vec<Hertz> = Vec::new();
+        let index = self
+            .devices
+            .iter()
+            .map(|device| {
+                let f = device.scenario.frequency;
+                carriers
+                    .iter()
+                    .position(|c| c.0.to_bits() == f.0.to_bits())
+                    .unwrap_or_else(|| {
+                        carriers.push(f);
+                        carriers.len() - 1
+                    })
+            })
+            .collect();
+        (carriers, index)
+    }
+
     /// True when no devices are enrolled.
     pub fn is_empty(&self) -> bool {
         self.devices.is_empty()
@@ -257,9 +278,10 @@ pub struct FleetEvaluator {
     /// every probe: the search still commands any bias, but the physics
     /// answers as the broken panel would. `None` = healthy.
     fault: Option<crate::faults::BiasFault>,
-    /// Bench-only A/B switch: force the per-cell reference batch path
-    /// ([`StackEvaluator::eval_batch_reference`]) instead of the
-    /// structure-of-arrays fast path. Never set in production.
+    /// Churn-baseline switch: [`FleetEvaluator::powers_dbm`] probes
+    /// through the allocating [`PreparedLink::received_dbm_with`]
+    /// instead of a reused path scratch. Set only by the mobility
+    /// simulator's churn baseline.
     reference_batch: bool,
 }
 
@@ -303,12 +325,11 @@ impl FleetEvaluator {
         }
     }
 
-    /// Bench-only A/B switch: `true` forces every probe batch through
-    /// the per-cell reference path
-    /// ([`StackEvaluator::eval_batch_reference`]) so perf gates can
-    /// measure the structure-of-arrays win in-repo. Results agree to
-    /// well below `1e-12` either way.
-    pub fn set_reference_batch(&mut self, on: bool) {
+    /// Churn-baseline switch: `true` makes [`FleetEvaluator::powers_dbm`]
+    /// use the allocating [`PreparedLink::received_dbm_with`] probe, the
+    /// path the scratch probe replaced. Results are bitwise identical
+    /// either way.
+    pub(crate) fn set_reference_batch(&mut self, on: bool) {
         self.reference_batch = on;
     }
 
@@ -411,12 +432,7 @@ impl FleetEvaluator {
             .plans
             .iter()
             .map(|p| {
-                let batch = if self.reference_batch {
-                    p.eval_batch_reference(&clamped)
-                } else {
-                    p.eval_batch(&clamped)
-                };
-                batch
+                p.eval_batch(&clamped)
                     .into_iter()
                     .map(|r| SurfaceResponse::new(p.frequency(), r))
                     .collect()
@@ -436,19 +452,6 @@ impl FleetEvaluator {
             rfmath::par::available_threads()
         };
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); n];
-        if self.reference_batch {
-            // Baseline arm: per-bias closure with the allocating probe,
-            // exactly the pre-optimization fan-out.
-            let row = move |b: usize| -> Vec<f64> {
-                links
-                    .iter()
-                    .zip(plan_of)
-                    .map(|(link, &k)| link.received_dbm_with(Some(&responses[k][b])).0)
-                    .collect()
-            };
-            rfmath::par::par_fill(&mut out, threads, row);
-            return out;
-        }
         // Chunked fan-out so each worker keeps one path scratch buffer
         // across its whole range of biases: zero per-probe allocation.
         rfmath::par::par_fill_chunked(&mut out, threads, |offset, chunk| {
@@ -513,6 +516,21 @@ pub struct DeviceService {
     pub throughput_bits_hz: f64,
     /// Whether the served power clears the device's sensitivity floor.
     pub decodable: bool,
+}
+
+impl DeviceService {
+    /// `device` served at `bias` with `power_dbm` for a `duty` fraction
+    /// of the airtime.
+    pub(crate) fn new(device: &FleetDevice, bias: BiasState, power_dbm: f64, duty: f64) -> Self {
+        Self {
+            label: device.label.clone(),
+            bias,
+            power_dbm,
+            duty,
+            throughput_bits_hz: duty_cycled_throughput(Dbm(power_dbm), &device.profile.noise, duty),
+            decodable: device.profile.is_decodable(power_dbm),
+        }
+    }
 }
 
 /// Outcome of one scheduling run.
@@ -770,14 +788,7 @@ impl Scheduler {
             .devices()
             .iter()
             .zip(&best_metrics)
-            .map(|(device, &power)| DeviceService {
-                label: device.label.clone(),
-                bias,
-                power_dbm: power,
-                duty: 1.0,
-                throughput_bits_hz: capacity_bits(Dbm(power), &device.profile.noise),
-                decodable: device.profile.is_decodable(power),
-            })
+            .map(|(device, &power)| DeviceService::new(device, bias, power, 1.0))
             .collect();
         FleetOutcome {
             policy: self.policy,
@@ -877,18 +888,7 @@ impl Scheduler {
             .enumerate()
             .map(|(d, device)| {
                 let (bias, power) = winner_of(&probed, d);
-                DeviceService {
-                    label: device.label.clone(),
-                    bias,
-                    power_dbm: power,
-                    duty,
-                    throughput_bits_hz: duty_cycled_throughput(
-                        Dbm(power),
-                        &device.profile.noise,
-                        duty,
-                    ),
-                    decodable: device.profile.is_decodable(power),
-                }
+                DeviceService::new(device, bias, power, duty)
             })
             .collect();
         let probes = probed.len();

@@ -69,12 +69,11 @@ use metasurface::designs::Design;
 use metasurface::evaluator::{PlanCache, StackEvaluator};
 use metasurface::response::SurfaceResponse;
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
-use propagation::capacity::capacity_bits;
 use propagation::coupling::{CouplingConfig, MultiSurfaceField};
 use propagation::link::PreparedLink;
 use propagation::rays::{Deployment, Path};
 use rfmath::complex::Complex;
-use rfmath::units::{Dbm, Degrees, Hertz, Seconds, Watts};
+use rfmath::units::{Degrees, Seconds, Watts};
 use rfmath::vec2::Point2;
 
 use crate::fleet::{DeviceService, Fleet, FleetEvaluator, FleetOutcome, Policy, Scheduler};
@@ -357,37 +356,18 @@ impl PanelArray {
         let n = fleet.len();
         let k = self.panels.len();
         let capacity = n.div_ceil(k);
-        // The reference response depends only on (design, carrier) —
-        // memoize it across devices instead of re-running the cascade
-        // per device × panel.
-        let mut responses: Vec<(usize, u64, SurfaceResponse)> = Vec::new();
+        let probes = ReferenceProbes::new(fleet, self, caches);
+        let mut scratch = Vec::new();
         // Score every device against every panel up front (no capacity
         // pruning here — pruning while scanning would make the scores
         // depend on processing order).
         let mut prefs: Vec<Vec<(usize, f64, f64)>> = Vec::with_capacity(n);
-        for device in fleet.devices() {
-            let f = device.scenario.frequency;
-            let prepared = PreparedLink::new(device.scenario.link());
+        for (d, device) in fleet.devices().iter().enumerate() {
             let mount = device.scenario.rx.orientation;
             // (panel index, reference power, mount-to-sector distance).
             let mut scored: Vec<(usize, f64, f64)> = Vec::with_capacity(k);
             for (idx, panel) in self.panels.iter().enumerate() {
-                let response = match responses
-                    .iter()
-                    .find(|(p, bits, _)| *p == idx && *bits == f.0.to_bits())
-                {
-                    Some((_, _, r)) => *r,
-                    None => {
-                        let plan = Self::cache_for(caches, &panel.design).plan(f);
-                        let r =
-                            SurfaceResponse::new(plan.frequency(), plan.response(REFERENCE_BIAS));
-                        responses.push((idx, f.0.to_bits(), r));
-                        r
-                    }
-                };
-                let moved = prepared
-                    .with_surface_placement(panel.deployment_for(device.scenario.deployment));
-                let power = moved.received_dbm_with(Some(&response)).0;
+                let power = probes.power(d, idx, Some(&mut scratch));
                 let sector = axis_distance_deg(mount, panel.sector_center);
                 scored.push((idx, power, sector));
             }
@@ -492,6 +472,121 @@ impl PanelArray {
 fn axis_distance_deg(a: Degrees, b: Degrees) -> f64 {
     let d = (a.0 - b.0).rem_euclid(180.0);
     d.min(180.0 - d)
+}
+
+/// Every device's link re-mounted at every panel, plus every panel's
+/// [`REFERENCE_BIAS`] response per carrier: the one reference-power
+/// measurement behind [`Assignment::BestReference`] and the mobility
+/// simulator's handoff margins and fault re-homing.
+#[derive(Default)]
+pub(crate) struct ReferenceProbes {
+    /// `links[d][k]`: device `d`'s link with its surface at panel `k`.
+    links: Vec<Vec<PreparedLink>>,
+    /// `carrier_of[d]`: device `d`'s carrier, an index into each
+    /// panel's `responses` row.
+    carrier_of: Vec<usize>,
+    /// `responses[k][c]`: panel `k`'s reference response at carrier `c`.
+    responses: Vec<Vec<SurfaceResponse>>,
+}
+
+impl ReferenceProbes {
+    /// Prepares each device's link once (scatter cached), re-targets it
+    /// at every panel's mounting, and evaluates each panel × distinct
+    /// carrier reference response once, drawing plans from `caches`.
+    pub(crate) fn new(
+        fleet: &Fleet,
+        array: &PanelArray,
+        caches: &[(&'static str, PlanCache)],
+    ) -> Self {
+        let (carriers, carrier_of) = fleet.carriers();
+        let responses = array
+            .panels
+            .iter()
+            .map(|panel| {
+                let cache = PanelArray::cache_for(caches, &panel.design);
+                carriers
+                    .iter()
+                    .map(|&f| {
+                        let plan = cache.plan(f);
+                        SurfaceResponse::new(plan.frequency(), plan.response(REFERENCE_BIAS))
+                    })
+                    .collect()
+            })
+            .collect();
+        let links = fleet
+            .devices()
+            .iter()
+            .map(|device| {
+                let base = PreparedLink::new(device.scenario.link());
+                array
+                    .panels
+                    .iter()
+                    .map(|panel| {
+                        base.with_surface_placement(
+                            panel.deployment_for(device.scenario.deployment),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        Self {
+            links,
+            carrier_of,
+            responses,
+        }
+    }
+
+    /// Device `d`'s received power through panel `k` at the reference
+    /// bias, dBm. With a `scratch` the probe reuses its path buffer;
+    /// `None` takes the allocating [`PreparedLink::received_dbm_with`]
+    /// (bitwise the same power).
+    pub(crate) fn power(&self, d: usize, k: usize, scratch: Option<&mut Vec<Path>>) -> f64 {
+        let response = Some(&self.responses[k][self.carrier_of[d]]);
+        match scratch {
+            Some(scratch) => self.links[d][k].received_dbm_scratch(response, scratch).0,
+            None => self.links[d][k].received_dbm_with(response).0,
+        }
+    }
+
+    /// The first panel passing `eligible` with the highest reference
+    /// power for device `d`, and that power; `None` when no eligible
+    /// panel measures above `-∞`.
+    pub(crate) fn best(
+        &self,
+        d: usize,
+        eligible: impl Fn(usize) -> bool,
+        mut scratch: Option<&mut Vec<Path>>,
+    ) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for k in (0..self.responses.len()).filter(|&k| eligible(k)) {
+            let p = self.power(d, k, scratch.as_deref_mut());
+            if p > best.map_or(f64::NEG_INFINITY, |(_, b)| b) {
+                best = Some((k, p));
+            }
+        }
+        best
+    }
+
+    /// Re-targets device `d`'s links at its moved `scenario`, reusing
+    /// cached scatter whenever the move allows. `allocating` selects
+    /// [`PreparedLink::rebind`] over the in-place arena rebind.
+    pub(crate) fn rebind(
+        &mut self,
+        d: usize,
+        scenario: &Scenario,
+        array: &PanelArray,
+        allocating: bool,
+    ) {
+        for (slot, panel) in self.links[d].iter_mut().zip(&array.panels) {
+            let mut link = scenario.link();
+            link.deployment = panel.deployment_for(scenario.deployment);
+            if allocating {
+                *slot = slot.rebind(link);
+            } else {
+                slot.rebind_in_place(link);
+            }
+        }
+    }
 }
 
 /// How devices map onto panels.
@@ -617,6 +712,49 @@ pub struct PanelOutcome {
 }
 
 impl PanelOutcome {
+    /// The fleet outcome of per-panel `(members, outcome)` pairs in array
+    /// order: labels each panel from `array`, scatters the panels'
+    /// services into fleet order and scores the fleet min. `probes` and
+    /// `elapsed` are the caller's bill; `joint` is left `None`.
+    pub(crate) fn assemble(
+        array: &PanelArray,
+        assignment: Vec<usize>,
+        panels: Vec<(Vec<usize>, FleetOutcome)>,
+        probes: usize,
+        elapsed: Seconds,
+    ) -> Self {
+        let mut services: Vec<Option<DeviceService>> = vec![None; assignment.len()];
+        let per_panel: Vec<PanelAllocation> = panels
+            .into_iter()
+            .zip(&array.panels)
+            .map(|((devices, outcome), panel)| {
+                for (service, &d) in outcome.per_device.iter().zip(&devices) {
+                    services[d] = Some(service.clone());
+                }
+                PanelAllocation {
+                    panel: panel.label.clone(),
+                    devices,
+                    outcome,
+                }
+            })
+            .collect();
+        let per_device = services
+            .into_iter()
+            .map(|s| s.expect("every device is assigned to exactly one panel"))
+            .collect();
+        let mut outcome = Self {
+            assignment,
+            per_panel,
+            per_device,
+            probes,
+            elapsed,
+            score: f64::NEG_INFINITY,
+            joint: None,
+        };
+        outcome.score = outcome.min_power_dbm();
+        outcome
+    }
+
     /// The worst served power across the fleet, dBm (`-∞` when empty).
     pub fn min_power_dbm(&self) -> f64 {
         if self.per_device.is_empty() {
@@ -760,7 +898,6 @@ impl PanelScheduler {
         let traced = self.recorder.enabled();
         let subfleets = array.subfleets(fleet, &assignment);
         let mut per_panel = Vec::with_capacity(array.len());
-        let mut services: Vec<Option<DeviceService>> = vec![None; fleet.len()];
         let mut probes = 0usize;
         let mut elapsed = 0.0f64;
         for (k, (subfleet, members)) in subfleets.into_iter().enumerate() {
@@ -785,30 +922,10 @@ impl PanelScheduler {
                     probes: outcome.probes,
                 });
             }
-            for (service, &d) in outcome.per_device.iter().zip(&members) {
-                services[d] = Some(service.clone());
-            }
-            per_panel.push(PanelAllocation {
-                panel: array.panels()[k].label.clone(),
-                devices: members,
-                outcome,
-            });
+            per_panel.push((members, outcome));
         }
-
-        let per_device: Vec<DeviceService> = services
-            .into_iter()
-            .map(|s| s.expect("every device is assigned to exactly one panel"))
-            .collect();
-        let mut independent = PanelOutcome {
-            assignment,
-            per_panel,
-            per_device,
-            probes,
-            elapsed: Seconds(elapsed),
-            score: f64::NEG_INFINITY,
-            joint: None,
-        };
-        independent.score = independent.min_power_dbm();
+        let independent =
+            PanelOutcome::assemble(array, assignment, per_panel, probes, Seconds(elapsed));
         match &self.joint {
             Some(cfg) => self.joint_refine(fleet, array, caches, independent, cfg),
             None => independent,
@@ -929,63 +1046,39 @@ impl PanelScheduler {
 
         let powers = coupled.powers_dbm(&biases);
         let cross_energy = coupled.cross_energy_fraction(&biases);
-        let subfleets = array.subfleets(fleet, &independent.assignment);
-        let mut services: Vec<Option<DeviceService>> = vec![None; fleet.len()];
-        let mut per_panel = Vec::with_capacity(kp);
-        for (k, (subfleet, members)) in subfleets.into_iter().enumerate() {
-            let bias = biases[k].clamped(SUPPLY_CEILING);
-            let mut panel_services = Vec::with_capacity(members.len());
-            for (device, &d) in subfleet.devices().iter().zip(&members) {
-                let power = powers[d];
-                let service = DeviceService {
-                    label: device.label.clone(),
-                    bias,
-                    power_dbm: power,
-                    duty: 1.0,
-                    throughput_bits_hz: capacity_bits(Dbm(power), &device.profile.noise),
-                    decodable: device.profile.is_decodable(power),
-                };
-                services[d] = Some(service.clone());
-                panel_services.push(service);
-            }
-            let panel_score = members
-                .iter()
-                .map(|&d| powers[d])
-                .fold(f64::INFINITY, f64::min);
-            per_panel.push(PanelAllocation {
-                panel: array.panels()[k].label.clone(),
-                devices: members,
-                outcome: FleetOutcome {
+        let per_panel = independent
+            .per_panel
+            .into_iter()
+            .enumerate()
+            .map(|(k, allocation)| {
+                let bias = biases[k].clamped(SUPPLY_CEILING);
+                let members = allocation.devices;
+                let per_device = members
+                    .iter()
+                    .map(|&d| DeviceService::new(&fleet.devices()[d], bias, powers[d], 1.0))
+                    .collect();
+                let mut outcome = FleetOutcome {
                     policy: Policy::MaxMin,
-                    per_device: panel_services,
+                    per_device,
                     shared_bias: Some(bias),
-                    score: if panel_score == f64::INFINITY {
-                        f64::NEG_INFINITY
-                    } else {
-                        panel_score
-                    },
+                    score: f64::NEG_INFINITY,
                     probes: panel_probes[k],
                     elapsed: Seconds(panel_elapsed[k]),
-                },
-            });
-        }
-        let per_device: Vec<DeviceService> = services
-            .into_iter()
-            .map(|s| s.expect("every device is assigned to exactly one panel"))
+                };
+                outcome.score = outcome.min_power_dbm();
+                (members, outcome)
+            })
             .collect();
         // Descent rounds are sequential (panel k's sweep needs the
         // others' latest biases), so the coupled refinement bills its
         // total probe airtime on top of the independent warm-up.
-        let mut outcome = PanelOutcome {
-            assignment: independent.assignment.clone(),
+        let mut outcome = PanelOutcome::assemble(
+            array,
+            independent.assignment,
             per_panel,
-            per_device,
-            probes: independent.probes + coupled_probes,
-            elapsed: Seconds(independent.elapsed.0 + panel_elapsed.iter().sum::<f64>()),
-            score: f64::NEG_INFINITY,
-            joint: None,
-        };
-        outcome.score = outcome.min_power_dbm();
+            independent.probes + coupled_probes,
+            Seconds(independent.elapsed.0 + panel_elapsed.iter().sum::<f64>()),
+        );
         outcome.joint = Some(JointStats {
             rounds,
             converged,
@@ -1056,30 +1149,12 @@ impl CoupledEvaluator {
     ) -> Self {
         assert_eq!(assignment.len(), fleet.len(), "one panel per device");
         let panels = array.panels();
-        // Distinct carriers across the fleet, first-appearance order.
-        let mut carriers: Vec<u64> = Vec::new();
-        let carrier_of: Vec<usize> = fleet
-            .devices()
-            .iter()
-            .map(|device| {
-                let bits = device.scenario.frequency.0.to_bits();
-                match carriers.iter().position(|&b| b == bits) {
-                    Some(i) => i,
-                    None => {
-                        carriers.push(bits);
-                        carriers.len() - 1
-                    }
-                }
-            })
-            .collect();
+        let (carriers, carrier_of) = fleet.carriers();
         let plans: Vec<Vec<Rc<StackEvaluator>>> = panels
             .iter()
             .map(|panel| {
                 let cache = PanelArray::cache_for(caches, &panel.design);
-                carriers
-                    .iter()
-                    .map(|&bits| cache.plan(Hertz(f64::from_bits(bits))))
-                    .collect()
+                carriers.iter().map(|&f| cache.plan(f)).collect()
             })
             .collect();
         let fields: Vec<MultiSurfaceField> = fleet

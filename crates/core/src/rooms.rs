@@ -351,7 +351,7 @@ mod tests {
         let mut s = build("office-floor", 3).unwrap();
         let report = s.run();
         assert!(
-            report.total_links_reprepared() > 0,
+            report.total(|t| t.links_reprepared) > 0,
             "walkers must force link re-preparation"
         );
     }

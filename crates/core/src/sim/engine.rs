@@ -37,10 +37,22 @@
 //!   starves the link — the reconfiguration-workload effect the
 //!   programmable-environment literature centers on.
 //!
+//! Every warm-tick migration goes through one re-homing step. Three
+//! rules pick targets, in order: fault recovery (off a dark panel),
+//! revival (onto a panel that healed this tick) and hysteresis handoff.
+//! Each move writes the device's panel, resets its dwell streak, counts
+//! under its rule, emits a `Handoff` event when traced and marks both
+//! panels. The marked panels are rebuilt once per tick, after all three
+//! rules have run: no rule reads the state a rebuild writes. Tick 0
+//! re-homes the policy's picks off dark panels without events, then
+//! builds every panel. Every reference-power margin comes from one probe
+//! set, the same one [`crate::panels::Assignment::BestReference`] ranks
+//! panels with.
+//!
 //! A seeded [`FaultPlan`] ([`MobilitySim::with_faults`]) injects
 //! hardware failures into the warm engine — whole-panel outages
 //! (orphaned sub-fleets re-home onto surviving panels through the
-//! handoff machinery), lost probe reports (bounded retry with
+//! re-homing step), lost probe reports (bounded retry with
 //! exponential backoff, then hold-last-good-bias), PSU settling
 //! glitches, and stuck/clamped unit-cell columns (masked into each
 //! panel's evaluator so the search re-optimizes around the defect) —
@@ -52,17 +64,14 @@ use std::time::Instant;
 use control::psu::PowerSupply;
 use control::sweep::WarmConfig;
 use metasurface::evaluator::PlanCache;
-use metasurface::response::SurfaceResponse;
 use metasurface::stack::BiasState;
 use propagation::capacity::duty_cycled_throughput;
-use propagation::link::PreparedLink;
+use propagation::rays::Path;
 use rfmath::units::{Dbm, Seconds};
 
 use crate::faults::FaultPlan;
 use crate::fleet::{Fleet, FleetEvaluator, FleetOutcome, Policy};
-use crate::panels::{
-    PanelAllocation, PanelArray, PanelOutcome, PanelScheduler, RevivalPolicy, REFERENCE_BIAS,
-};
+use crate::panels::{PanelArray, PanelOutcome, PanelScheduler, ReferenceProbes, RevivalPolicy};
 use crate::sim::mobility::DynamicFleet;
 use crate::telemetry::{RecorderHandle, TelemetryEvent};
 
@@ -118,11 +127,15 @@ pub struct SimConfig {
     pub handoff: HandoffPolicy,
     /// Allocation-churn baseline for A/B benchmarking: when set, the
     /// warm engine rebinds reference links through the allocating
-    /// [`PreparedLink::rebind`] path and forces every panel evaluator
-    /// onto the reference (AoS) batch kernel instead of the SoA fast
-    /// path. Results are bit-identical either way — only the
-    /// steady-state allocation and vectorization behavior differs —
-    /// which is exactly what makes it an honest baseline.
+    /// [`PreparedLink::rebind`](propagation::link::PreparedLink::rebind)
+    /// instead of the in-place arena rebind, and probes handoff margins
+    /// and every panel evaluator's
+    /// [`FleetEvaluator::powers_dbm`] through the allocating
+    /// [`PreparedLink::received_dbm_with`](propagation::link::PreparedLink::received_dbm_with)
+    /// instead of a reused path scratch. The warm tick never runs a
+    /// batch kernel, so neither arm touches one. Results are
+    /// bit-identical either way — only the steady-state allocation
+    /// differs — which is exactly what makes it an honest baseline.
     pub churn_baseline: bool,
 }
 
@@ -160,7 +173,7 @@ impl SimConfig {
 
     /// Selects the allocation-churn baseline (see
     /// [`SimConfig::churn_baseline`]). Benchmarks use this to measure
-    /// what the arena rebinds and the SoA batch kernel actually buy.
+    /// what the arena rebinds and scratch probes actually buy.
     pub fn with_churn_baseline(mut self, on: bool) -> Self {
         self.churn_baseline = on;
         self
@@ -236,8 +249,6 @@ pub struct TickOutcome {
 pub struct SimReport {
     /// Per-tick outcomes, in time order.
     pub ticks: Vec<TickOutcome>,
-    /// Total handoffs across the run.
-    pub handoffs: usize,
     /// Total controller wall-clock, ms.
     pub wall_ms: f64,
 }
@@ -272,49 +283,10 @@ impl SimReport {
         total / n as f64
     }
 
-    /// Total bias states probed across the run.
-    pub fn total_probes(&self) -> usize {
-        self.ticks.iter().map(|t| t.outcome.probes).sum()
-    }
-
-    /// Total full link re-preparations across the run.
-    pub fn total_links_reprepared(&self) -> usize {
-        self.ticks.iter().map(|t| t.links_reprepared).sum()
-    }
-
-    /// Total cheap link rebinds across the run.
-    pub fn total_links_rebound(&self) -> usize {
-        self.ticks.iter().map(|t| t.links_rebound).sum()
-    }
-
-    /// Total panel×tick outages across the run.
-    pub fn total_outaged_panel_ticks(&self) -> usize {
-        self.ticks.iter().map(|t| t.outaged_panels).sum()
-    }
-
-    /// Total fault-recovery re-homings across the run.
-    pub fn total_fault_reassignments(&self) -> usize {
-        self.ticks.iter().map(|t| t.fault_reassignments).sum()
-    }
-
-    /// Total healed-panel re-admissions across the run.
-    pub fn total_revival_readmissions(&self) -> usize {
-        self.ticks.iter().map(|t| t.revival_readmissions).sum()
-    }
-
-    /// Total probe-report deliveries lost across the run.
-    pub fn total_reports_lost(&self) -> usize {
-        self.ticks.iter().map(|t| t.reports_lost).sum()
-    }
-
-    /// Total report-retry exhaustions (held biases) across the run.
-    pub fn total_reports_exhausted(&self) -> usize {
-        self.ticks.iter().map(|t| t.reports_exhausted).sum()
-    }
-
-    /// Total PSU settling glitches across the run.
-    pub fn total_psu_glitches(&self) -> usize {
-        self.ticks.iter().map(|t| t.psu_glitches).sum()
+    /// One per-tick counter summed across the run, e.g.
+    /// `report.total(|t| t.handoffs)`.
+    pub fn total(&self, count: impl Fn(&TickOutcome) -> usize) -> usize {
+        self.ticks.iter().map(count).sum()
     }
 }
 
@@ -358,6 +330,55 @@ impl PanelState {
             membership_changed: false,
         }
     }
+}
+
+/// Device → panel homes of the warm engine, and the one step every
+/// re-homing rule (fault recovery, revival, hysteresis handoff) moves a
+/// device through.
+struct Homes {
+    /// Device → panel map.
+    assignment: Vec<usize>,
+    /// Per device: the panel its margin streak points at, and how many
+    /// consecutive moving ticks the margin has held.
+    streaks: Vec<(usize, usize)>,
+    /// Panels whose membership changed since the last rebuild.
+    marked: Vec<bool>,
+}
+
+impl Homes {
+    /// Moves device `d` to panel `target`: resets its streak, counts the
+    /// move in its rule's `counter`, emits a handoff event when traced,
+    /// and marks both panels for the tick's rebuild.
+    fn rehome(&mut self, d: usize, target: usize, counter: &mut usize, recorder: &RecorderHandle) {
+        let from = self.assignment[d];
+        self.assignment[d] = target;
+        self.streaks[d] = (target, 0);
+        *counter += 1;
+        if recorder.enabled() {
+            recorder.emit(TelemetryEvent::Handoff {
+                device: d,
+                from_panel: from,
+                to_panel: target,
+            });
+        }
+        self.marked[from] = true;
+        self.marked[target] = true;
+    }
+}
+
+/// The live panel with the highest reference power for device `d`:
+/// where fault recovery and revival re-home it. The all-panels-out
+/// guard leaves at least one live panel.
+fn best_live_panel(
+    reference: &ReferenceProbes,
+    d: usize,
+    outaged: &[bool],
+    scratch: &mut Vec<Path>,
+) -> usize {
+    reference
+        .best(d, |k| !outaged[k], Some(scratch))
+        .expect("at least one panel survives")
+        .0
 }
 
 /// PSU bookkeeping for one panel over one tick: complete any pending
@@ -570,14 +591,14 @@ impl MobilitySim {
         }
         SimReport {
             ticks: out,
-            handoffs: 0,
             wall_ms: wall_total,
         }
     }
 
     /// The incremental engine: persistent caches, evaluators and
-    /// reference links; dirty-set link updates; hysteresis handoff;
-    /// reuse/warm/cold scheduling per panel.
+    /// reference links; dirty-set link updates; fault recovery, revival
+    /// and hysteresis handoff through one re-homing step; reuse/warm/cold
+    /// scheduling per panel.
     fn run_warm_mode(
         &self,
         fleet: &mut DynamicFleet,
@@ -589,24 +610,24 @@ impl MobilitySim {
         let mut states: Vec<PanelState> = (0..array.len())
             .map(|_| PanelState::new(fleet.fleet()))
             .collect();
-        let mut assignment: Vec<usize> = Vec::new();
-        let mut streaks: Vec<(usize, usize)> = vec![(0, 0); fleet.len()];
-        let mut ref_links: Vec<Vec<PreparedLink>> = Vec::new();
-        // Reference responses per panel × carrier (bias-independent:
-        // computed once for the whole run).
-        let mut ref_responses: Vec<Vec<(u64, SurfaceResponse)>> = vec![Vec::new(); array.len()];
+        let mut homes = Homes {
+            assignment: Vec::new(),
+            streaks: vec![(0, 0); fleet.len()],
+            marked: vec![false; array.len()],
+        };
+        let mut reference = ReferenceProbes::default();
 
         let mut out = Vec::with_capacity(ticks);
-        let mut handoffs_total = 0usize;
         let mut wall_total = 0.0f64;
         let faults_active = !self.faults.is_empty();
+        let churn = self.config.churn_baseline;
         // Steady-state scratch reused across ticks — the tick loop
         // allocates only for the outcome it returns.
         let mut outaged = vec![false; array.len()];
         let mut is_dirty = vec![false; fleet.len()];
         let mut kinds: Vec<SearchKind> = Vec::with_capacity(array.len());
         let mut airtimes: Vec<f64> = Vec::with_capacity(array.len());
-        let mut probe_scratch: Vec<propagation::rays::Path> = Vec::new();
+        let mut probe_scratch: Vec<Path> = Vec::new();
         let recorder = &self.recorder;
         let traced = recorder.enabled();
         let mut prev_outaged = vec![false; array.len()];
@@ -651,89 +672,33 @@ impl MobilitySim {
             prev_outaged.copy_from_slice(&outaged);
             let mut reassignments = 0usize;
             let mut revivals = 0usize;
+            let mut handoffs = 0usize;
 
             if i == 0 {
                 // First tick: run the assignment policy and build every
                 // persistent structure. All panels search cold, exactly
                 // like the static PanelScheduler would.
-                assignment =
+                homes.assignment =
                     array.assign_with_caches(fleet.fleet(), &self.scheduler.assignment, &caches);
-                for (k, responses) in ref_responses.iter_mut().enumerate() {
-                    for device in fleet.fleet().devices() {
-                        let bits = device.scenario.frequency.0.to_bits();
-                        if !responses.iter().any(|(b, _)| *b == bits) {
-                            let plan = PanelArray::cache_for(&caches, &array.panels()[k].design)
-                                .plan(device.scenario.frequency);
-                            let response = SurfaceResponse::new(
-                                plan.frequency(),
-                                plan.response(REFERENCE_BIAS),
-                            );
-                            responses.push((bits, response));
-                        }
-                    }
-                }
-                ref_links = fleet
-                    .fleet()
-                    .devices()
-                    .iter()
-                    .map(|device| {
-                        let base = PreparedLink::new(device.scenario.link());
-                        array
-                            .panels()
-                            .iter()
-                            .map(|p| {
-                                base.with_surface_placement(
-                                    p.deployment_for(device.scenario.deployment),
-                                )
-                            })
-                            .collect()
-                    })
-                    .collect();
-                reprepared += fleet.len();
+                reference = ReferenceProbes::new(fleet.fleet(), array, &caches);
                 // A panel dark at t = 0 never receives its sub-fleet:
                 // the policy's picks re-home to surviving panels before
-                // anything is built on top of the assignment.
-                if outaged_panels > 0 {
-                    for d in 0..fleet.len() {
-                        if outaged[assignment[d]] {
-                            assignment[d] = Self::best_surviving_panel(
-                                fleet.fleet(),
-                                d,
-                                &outaged,
-                                &ref_links,
-                                &ref_responses,
-                            );
-                            reassignments += 1;
-                        }
+                // anything is built on top of the assignment. Nothing
+                // was served yet, so no handoff event is emitted.
+                for d in 0..fleet.len() {
+                    if outaged[homes.assignment[d]] {
+                        homes.assignment[d] =
+                            best_live_panel(&reference, d, &outaged, &mut probe_scratch);
+                        reassignments += 1;
                     }
                 }
-                Self::rebuild_panels(
-                    fleet.fleet(),
-                    array,
-                    &caches,
-                    &assignment,
-                    &mut states,
-                    &(0..array.len()).collect::<Vec<_>>(),
-                    &self.faults,
-                    self.config.churn_baseline,
-                );
+                homes.marked.fill(true);
             } else {
                 // Refresh the per-device reference links for the dirty
                 // set (the handoff margins live on them); rebinds reuse
                 // cached scatter whenever the move allows.
                 for &d in &moved {
-                    let device = &fleet.fleet().devices()[d];
-                    for (k, panel) in array.panels().iter().enumerate() {
-                        let mut link = device.scenario.link();
-                        link.deployment = panel.deployment_for(device.scenario.deployment);
-                        if self.config.churn_baseline {
-                            ref_links[d][k] = ref_links[d][k].rebind(link);
-                        } else {
-                            // Arena path: the prepared slot is reused in
-                            // place — a reusable move touches zero heap.
-                            ref_links[d][k].rebind_in_place(link);
-                        }
-                    }
+                    reference.rebind(d, &fleet.fleet().devices()[d].scenario, array, churn);
                 }
             }
             drop(advance_span);
@@ -748,48 +713,13 @@ impl MobilitySim {
             // Fault recovery first: a device stranded on a panel that
             // just went dark re-homes to its best surviving panel
             // immediately — no hysteresis, no dwell; there is nothing to
-            // flap back to. The affected panels rebuild like a handoff
-            // would, and the move resets the device's dwell streak.
-            if i > 0 && outaged_panels > 0 && !fleet.is_empty() {
-                let mut changed: Vec<usize> = Vec::new();
+            // flap back to.
+            if i > 0 && outaged_panels > 0 {
                 for d in 0..fleet.len() {
-                    let cur = assignment[d];
-                    if !outaged[cur] {
-                        continue;
+                    if outaged[homes.assignment[d]] {
+                        let target = best_live_panel(&reference, d, &outaged, &mut probe_scratch);
+                        homes.rehome(d, target, &mut reassignments, recorder);
                     }
-                    let target = Self::best_surviving_panel(
-                        fleet.fleet(),
-                        d,
-                        &outaged,
-                        &ref_links,
-                        &ref_responses,
-                    );
-                    changed.push(cur);
-                    changed.push(target);
-                    assignment[d] = target;
-                    streaks[d] = (target, 0);
-                    reassignments += 1;
-                    if traced {
-                        recorder.emit(TelemetryEvent::Handoff {
-                            device: d,
-                            from_panel: cur,
-                            to_panel: target,
-                        });
-                    }
-                }
-                if !changed.is_empty() {
-                    changed.sort_unstable();
-                    changed.dedup();
-                    reprepared += Self::rebuild_panels(
-                        fleet.fleet(),
-                        array,
-                        &caches,
-                        &assignment,
-                        &mut states,
-                        &changed,
-                        &self.faults,
-                        self.config.churn_baseline,
-                    );
                 }
             }
 
@@ -817,49 +747,16 @@ impl MobilitySim {
                     }
                 }
                 if !healed.is_empty() {
-                    let mut changed: Vec<usize> = Vec::new();
                     for d in 0..fleet.len() {
-                        let cur = assignment[d];
+                        let cur = homes.assignment[d];
                         if outaged[cur] {
                             // Fault recovery above already re-homed it.
                             continue;
                         }
-                        let target = Self::best_surviving_panel(
-                            fleet.fleet(),
-                            d,
-                            &outaged,
-                            &ref_links,
-                            &ref_responses,
-                        );
-                        if target == cur || !healed.contains(&target) {
-                            continue;
+                        let target = best_live_panel(&reference, d, &outaged, &mut probe_scratch);
+                        if target != cur && healed.contains(&target) {
+                            homes.rehome(d, target, &mut revivals, recorder);
                         }
-                        changed.push(cur);
-                        changed.push(target);
-                        assignment[d] = target;
-                        streaks[d] = (target, 0);
-                        revivals += 1;
-                        if traced {
-                            recorder.emit(TelemetryEvent::Handoff {
-                                device: d,
-                                from_panel: cur,
-                                to_panel: target,
-                            });
-                        }
-                    }
-                    if !changed.is_empty() {
-                        changed.sort_unstable();
-                        changed.dedup();
-                        reprepared += Self::rebuild_panels(
-                            fleet.fleet(),
-                            array,
-                            &caches,
-                            &assignment,
-                            &mut states,
-                            &changed,
-                            &self.faults,
-                            self.config.churn_baseline,
-                        );
                     }
                 }
             }
@@ -872,97 +769,60 @@ impl MobilitySim {
             // would break the zero-motion warm==cold contract on
             // distributed arrays). Parked devices also reset their
             // dwell streaks: "dwell" counts consecutive *moving* ticks.
-            let mut handoffs = 0usize;
-            if i > 0 && array.len() >= 2 && !fleet.is_empty() {
+            if i > 0 && array.len() >= 2 {
                 is_dirty.fill(false);
                 for &d in &moved {
                     is_dirty[d] = true;
                 }
-                let mut changed_panels: Vec<usize> = Vec::new();
-                for d in 0..fleet.len() {
-                    if !is_dirty[d] {
-                        streaks[d] = (assignment[d], 0);
+                for (d, &dirty) in is_dirty.iter().enumerate() {
+                    let cur = homes.assignment[d];
+                    if !dirty {
+                        homes.streaks[d] = (cur, 0);
                         continue;
                     }
-                    let bits = fleet.fleet().devices()[d].scenario.frequency.0.to_bits();
-                    let churn_baseline = self.config.churn_baseline;
-                    let probe_scratch = &mut probe_scratch;
-                    let mut power_on = |k: usize| {
-                        let response = ref_responses[k]
-                            .iter()
-                            .find(|(b, _)| *b == bits)
-                            .map(|(_, r)| r)
-                            .expect("reference responses prebuilt for every carrier");
-                        if churn_baseline {
-                            // Baseline arm: the allocating probe the
-                            // engine used before the scratch fast path.
-                            ref_links[d][k].received_dbm_with(Some(response)).0
-                        } else {
-                            ref_links[d][k]
-                                .received_dbm_scratch(Some(response), probe_scratch)
-                                .0
-                        }
-                    };
-                    let cur = assignment[d];
-                    let cur_power = power_on(cur);
-                    let mut preferred = cur;
-                    let mut best = f64::NEG_INFINITY;
-                    for (k, &out) in outaged.iter().enumerate() {
-                        if k == cur || out {
-                            continue;
-                        }
-                        let p = power_on(k);
-                        if p > best {
-                            best = p;
-                            preferred = k;
-                        }
-                    }
+                    // The churn baseline keeps the allocating probe.
+                    let mut scratch = (!churn).then_some(&mut probe_scratch);
+                    let cur_power = reference.power(d, cur, scratch.as_deref_mut());
+                    let (preferred, best) = reference
+                        .best(d, |k| k != cur && !outaged[k], scratch)
+                        .unwrap_or((cur, f64::NEG_INFINITY));
                     if preferred != cur && best - cur_power > self.config.handoff.hysteresis_db {
-                        streaks[d] = if streaks[d].0 == preferred {
-                            (preferred, streaks[d].1 + 1)
+                        let streak = &mut homes.streaks[d];
+                        *streak = if streak.0 == preferred {
+                            (preferred, streak.1 + 1)
                         } else {
                             (preferred, 1)
                         };
-                        if streaks[d].1 >= self.config.handoff.dwell_ticks.max(1) {
-                            changed_panels.push(cur);
-                            changed_panels.push(preferred);
-                            assignment[d] = preferred;
-                            streaks[d] = (preferred, 0);
-                            handoffs += 1;
-                            if traced {
-                                recorder.emit(TelemetryEvent::Handoff {
-                                    device: d,
-                                    from_panel: cur,
-                                    to_panel: preferred,
-                                });
-                            }
+                        if streak.1 >= self.config.handoff.dwell_ticks.max(1) {
+                            homes.rehome(d, preferred, &mut handoffs, recorder);
                         }
                     } else {
-                        streaks[d] = (cur, 0);
+                        homes.streaks[d] = (cur, 0);
                     }
                 }
-                handoffs_total += handoffs;
-                if !changed_panels.is_empty() {
-                    changed_panels.sort_unstable();
-                    changed_panels.dedup();
-                    reprepared += Self::rebuild_panels(
-                        fleet.fleet(),
-                        array,
-                        &caches,
-                        &assignment,
-                        &mut states,
-                        &changed_panels,
-                        &self.faults,
-                        self.config.churn_baseline,
-                    );
-                }
+            }
+
+            // One rebuild for every panel a rule touched (every panel on
+            // tick 0). No rule reads the panel state it writes.
+            if homes.marked.contains(&true) {
+                reprepared += Self::rebuild_panels(
+                    fleet.fleet(),
+                    array,
+                    &caches,
+                    &homes.assignment,
+                    &mut states,
+                    &homes.marked,
+                    &self.faults,
+                    churn,
+                );
+                homes.marked.fill(false);
             }
 
             // Incremental link updates for moved devices whose panel
             // membership did not change.
             if i > 0 {
                 for &d in &moved {
-                    let k = assignment[d];
+                    let k = homes.assignment[d];
                     let state = &mut states[k];
                     if state.membership_changed {
                         continue; // just rebuilt from scratch
@@ -992,8 +852,9 @@ impl MobilitySim {
             // Per-panel scheduling: reuse, warm-refine, or cold.
             kinds.clear();
             airtimes.clear();
-            let mut panel_outcomes: Vec<FleetOutcome> = Vec::with_capacity(array.len());
+            let mut panel_outcomes = Vec::with_capacity(array.len());
             let mut probes = 0usize;
+            let mut elapsed = 0.0f64;
             let mut reports_lost = 0usize;
             let mut reports_exhausted = 0usize;
             let mut psu_glitches = 0usize;
@@ -1067,6 +928,7 @@ impl MobilitySim {
                         }
                     }
                     if kind != SearchKind::Reused {
+                        elapsed = elapsed.max(outcome.elapsed.0);
                         state.prev = Some(outcome.clone());
                     }
                 }
@@ -1074,7 +936,7 @@ impl MobilitySim {
                 state.membership_changed = false;
                 kinds.push(kind);
                 airtimes.push(airtime);
-                panel_outcomes.push(outcome);
+                panel_outcomes.push((state.members.clone(), outcome));
             }
             drop(reopt_span);
             if traced {
@@ -1084,39 +946,13 @@ impl MobilitySim {
                 });
             }
 
-            // Assemble the tick's scheduling decision exactly like the
-            // static scheduler does.
-            let mut services = vec![None; fleet.len()];
-            let mut per_panel = Vec::with_capacity(array.len());
-            let mut elapsed = 0.0f64;
-            for (k, outcome) in panel_outcomes.into_iter().enumerate() {
-                if kinds[k] != SearchKind::Reused {
-                    elapsed = elapsed.max(outcome.elapsed.0);
-                }
-                for (service, &d) in outcome.per_device.iter().zip(&states[k].members) {
-                    services[d] = Some(service.clone());
-                }
-                per_panel.push(PanelAllocation {
-                    panel: array.panels()[k].label.clone(),
-                    devices: states[k].members.clone(),
-                    outcome,
-                });
-            }
-            let per_device: Vec<_> = services
-                .into_iter()
-                .map(|s| s.expect("every device is assigned to exactly one panel"))
-                .collect();
-            let mut outcome = PanelOutcome {
-                assignment: assignment.clone(),
-                per_panel,
-                per_device,
+            let outcome = PanelOutcome::assemble(
+                array,
+                homes.assignment.clone(),
+                panel_outcomes,
                 probes,
-                elapsed: Seconds(elapsed),
-                score: f64::NEG_INFINITY,
-                joint: None,
-            };
-            outcome.score = outcome.min_power_dbm();
-
+                Seconds(elapsed),
+            );
             let cold_panels = kinds.iter().filter(|k| **k == SearchKind::Cold).count();
             let warm_panels = kinds.iter().filter(|k| **k == SearchKind::Warm).count();
             let reused_panels = kinds
@@ -1152,28 +988,26 @@ impl MobilitySim {
         }
         SimReport {
             ticks: out,
-            handoffs: handoffs_total,
             wall_ms: wall_total,
         }
     }
 
-    /// Rebuilds the listed panels' sub-fleets and evaluators from the
-    /// current assignment (membership changed: handoff or first tick).
-    /// Returns how many links were re-prepared.
+    /// Rebuilds the `marked` panels' sub-fleets and evaluators from the
+    /// current assignment (membership changed: a re-homing or the first
+    /// tick). Returns how many links were re-prepared.
     fn rebuild_panels(
         fleet: &Fleet,
         array: &PanelArray,
         caches: &[(&'static str, PlanCache)],
         assignment: &[usize],
         states: &mut [PanelState],
-        panels: &[usize],
+        marked: &[bool],
         faults: &FaultPlan,
         churn_baseline: bool,
     ) -> usize {
-        let subfleets = array.subfleets(fleet, assignment);
         let mut reprepared = 0usize;
-        for &k in panels {
-            let (subfleet, members) = subfleets[k].clone();
+        let subfleets = array.subfleets(fleet, assignment).into_iter();
+        for (k, (subfleet, members)) in subfleets.enumerate().filter(|(k, _)| marked[*k]) {
             reprepared += subfleet.len();
             states[k].evaluator = if subfleet.is_empty() {
                 None
@@ -1198,39 +1032,6 @@ impl MobilitySim {
             states[k].membership_changed = true;
         }
         reprepared
-    }
-
-    /// The best surviving panel for a device orphaned by an outage:
-    /// argmax of reference power over the live panels (the same
-    /// measurement the handoff margins use). The all-panels-out guard
-    /// guarantees at least one survivor.
-    fn best_surviving_panel(
-        fleet: &Fleet,
-        d: usize,
-        outaged: &[bool],
-        ref_links: &[Vec<PreparedLink>],
-        ref_responses: &[Vec<(u64, SurfaceResponse)>],
-    ) -> usize {
-        let bits = fleet.devices()[d].scenario.frequency.0.to_bits();
-        let mut best_k = usize::MAX;
-        let mut best = f64::NEG_INFINITY;
-        for (k, &out) in outaged.iter().enumerate() {
-            if out {
-                continue;
-            }
-            let response = ref_responses[k]
-                .iter()
-                .find(|(b, _)| *b == bits)
-                .map(|(_, r)| r)
-                .expect("reference responses prebuilt for every carrier");
-            let p = ref_links[d][k].received_dbm_with(Some(response)).0;
-            if p > best {
-                best = p;
-                best_k = k;
-            }
-        }
-        assert!(best_k != usize::MAX, "at least one panel survives");
-        best_k
     }
 
     /// PSU billing, served-power evaluation and tick assembly — shared

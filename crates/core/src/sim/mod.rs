@@ -46,7 +46,7 @@
 //! let report = sim.run(&mut fleet, &array, 8);
 //! assert_eq!(report.ticks.len(), 8);
 //! // Most ticks warm-start or reuse: far fewer probes than 8 cold runs.
-//! assert!(report.total_probes() < 8 * 100);
+//! assert!(report.total(|t| t.outcome.probes) < 8 * 100);
 //! ```
 
 pub mod engine;
@@ -91,7 +91,7 @@ mod tests {
             assert_eq!(tick.outcome.probes, 0, "reuse must cost zero probes");
             assert_eq!(tick.reused_panels, 2);
         }
-        assert_eq!(report.handoffs, 0);
+        assert_eq!(report.total(|t| t.handoffs), 0);
     }
 
     #[test]
@@ -125,7 +125,11 @@ mod tests {
                 &array,
                 4,
             );
-            assert_eq!(warm.handoffs, 0, "seed {seed}: static fleet handed off");
+            assert_eq!(
+                warm.total(|t| t.handoffs),
+                0,
+                "seed {seed}: static fleet handed off"
+            );
             let cold = MobilitySim::new(scheduler, SimConfig::cold()).run(
                 &mut DynamicFleet::new(base),
                 &array,
@@ -149,10 +153,10 @@ mod tests {
         let mut roaming = DynamicFleet::roaming_mixed(8, 2021, Seconds(ticks as f64));
         let cold = sim(SimConfig::cold()).run(&mut roaming, &array, ticks);
         assert!(
-            warm.total_probes() * 2 < cold.total_probes(),
+            warm.total(|t| t.outcome.probes) * 2 < cold.total(|t| t.outcome.probes),
             "warm {} probes vs cold {}",
-            warm.total_probes(),
-            cold.total_probes()
+            warm.total(|t| t.outcome.probes),
+            cold.total(|t| t.outcome.probes)
         );
         // Fewer probes = less reconfiguration airtime = better duty.
         assert!(
@@ -163,12 +167,15 @@ mod tests {
         );
         // And only the dirty subset of links was ever re-prepared.
         assert!(
-            warm.total_links_reprepared() < cold.total_links_reprepared(),
+            warm.total(|t| t.links_reprepared) < cold.total(|t| t.links_reprepared),
             "warm re-prepared {} links vs cold {}",
-            warm.total_links_reprepared(),
-            cold.total_links_reprepared()
+            warm.total(|t| t.links_reprepared),
+            cold.total(|t| t.links_reprepared)
         );
-        assert!(warm.total_links_rebound() > 0, "rotators rebind cheaply");
+        assert!(
+            warm.total(|t| t.links_rebound) > 0,
+            "rotators rebind cheaply"
+        );
     }
 
     #[test]
@@ -212,11 +219,15 @@ mod tests {
         )
         .run(&mut build(), &array, ticks);
         assert!(
-            eager.handoffs >= 1,
+            eager.total(|t| t.handoffs) >= 1,
             "an eager policy must migrate the walker"
         );
-        assert_eq!(calm.handoffs, 0, "a 60 dB margin never materializes");
-        assert!(eager.handoffs > calm.handoffs);
+        assert_eq!(
+            calm.total(|t| t.handoffs),
+            0,
+            "a 60 dB margin never materializes"
+        );
+        assert!(eager.total(|t| t.handoffs) > calm.total(|t| t.handoffs));
     }
 
     #[test]
@@ -316,10 +327,10 @@ mod tests {
             .with_faults(plan)
             .run(&mut fleet, &array, ticks);
         assert!(
-            report.total_fault_reassignments() > 0,
+            report.total(|t| t.fault_reassignments) > 0,
             "someone lived on panel 0 and had to move"
         );
-        assert_eq!(report.total_outaged_panel_ticks(), 3);
+        assert_eq!(report.total(|t| t.outaged_panels), 3);
         for tick in &report.ticks {
             let dark = tick.t.0 >= 2.0 && tick.t.0 < 5.0;
             if dark {
@@ -382,11 +393,11 @@ mod tests {
             "the scenario needs devices living on panel 0 before the outage"
         );
         assert!(
-            eager.total_fault_reassignments() > 0,
+            eager.total(|t| t.fault_reassignments) > 0,
             "the outage must strand someone on the fallback panel"
         );
         assert!(
-            eager.total_revival_readmissions() >= 1,
+            eager.total(|t| t.revival_readmissions) >= 1,
             "Immediate revival must re-home devices the tick the panel heals"
         );
         let healed = eager.ticks.last().unwrap();
@@ -397,7 +408,7 @@ mod tests {
 
         let parked = run(RevivalPolicy::Hysteresis);
         assert_eq!(
-            parked.total_revival_readmissions(),
+            parked.total(|t| t.revival_readmissions),
             0,
             "Hysteresis leaves re-admission to the handoff loop"
         );
@@ -431,12 +442,12 @@ mod tests {
             .run(&mut build(), &array, ticks);
         let clean = sim(SimConfig::default()).run(&mut build(), &array, ticks);
         assert!(
-            faulted.total_reports_exhausted() > 0,
+            faulted.total(|t| t.reports_exhausted) > 0,
             "certain loss must exhaust the retries of every search"
         );
         assert_eq!(
-            faulted.total_reports_lost(),
-            faulted.total_reports_exhausted() * 4,
+            faulted.total(|t| t.reports_lost),
+            faulted.total(|t| t.reports_exhausted) * 4,
             "every exhaustion burned the full default retry budget"
         );
         // Holding biases and burning retry airtime costs duty.
@@ -551,17 +562,18 @@ mod tests {
         // that each move someone always share a panel: every move
         // touches two distinct panels, and 2 + 2 > 3.
         let report = faulted_roaming_run(0);
-        let total =
-            |count: fn(&TickOutcome) -> usize| report.ticks.iter().map(count).sum::<usize>();
         assert!(
-            total(|t| t.fault_reassignments) > 0,
+            report.total(|t| t.fault_reassignments) > 0,
             "the outage strands someone"
         );
         assert!(
-            total(|t| t.revival_readmissions) > 0,
+            report.total(|t| t.revival_readmissions) > 0,
             "the healed panel readmits someone"
         );
-        assert!(total(|t| t.handoffs) > 0, "eager hysteresis hands off");
+        assert!(
+            report.total(|t| t.handoffs) > 0,
+            "eager hysteresis hands off"
+        );
         assert!(
             report.ticks.iter().any(|t| {
                 [t.fault_reassignments, t.revival_readmissions, t.handoffs]

@@ -95,7 +95,7 @@ proptest! {
         let faulted = MobilitySim::new(scheduler, SimConfig::default())
             .with_faults(FaultPlan::none())
             .run(&mut DynamicFleet::roaming_mixed(n, seed, horizon), &array, ticks);
-        prop_assert_eq!(plain.handoffs, faulted.handoffs);
+        prop_assert_eq!(plain.total(|t| t.handoffs), faulted.total(|t| t.handoffs));
         for (i, (p, f)) in plain.ticks.iter().zip(&faulted.ticks).enumerate() {
             prop_assert!(
                 p.outcome.same_allocation(&f.outcome),

@@ -89,7 +89,7 @@ proptest! {
         let report = MobilitySim::new(scheduler, SimConfig::default())
             .run(&mut dynamic, &array, ticks);
         prop_assert_eq!(report.ticks.len(), ticks);
-        prop_assert_eq!(report.handoffs, 0);
+        prop_assert_eq!(report.total(|t| t.handoffs), 0);
         for (i, tick) in report.ticks.iter().enumerate() {
             prop_assert!(tick.moved.is_empty(), "tick {} dirtied a parked fleet", i);
             prop_assert!(

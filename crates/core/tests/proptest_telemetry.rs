@@ -53,7 +53,7 @@ proptest! {
         let recorded = MobilitySim::new(scheduler, SimConfig::default())
             .with_recorder(RecorderHandle::null())
             .run(&mut DynamicFleet::roaming_mixed(n, seed, horizon), &array, ticks);
-        prop_assert_eq!(plain.handoffs, recorded.handoffs);
+        prop_assert_eq!(plain.total(|t| t.handoffs), recorded.total(|t| t.handoffs));
         for (i, (p, r)) in plain.ticks.iter().zip(&recorded.ticks).enumerate() {
             prop_assert!(
                 p.outcome.same_allocation(&r.outcome),
