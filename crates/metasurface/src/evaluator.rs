@@ -875,7 +875,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::designs::{fr4_naive, fr4_optimized, rogers_reference};
+    use crate::designs::{fr4_naive, fr4_optimized, rfid_900mhz, rogers_reference};
 
     const F: Hertz = Hertz(2.44e9);
 
@@ -922,43 +922,118 @@ mod tests {
         }
     }
 
+    /// Every component's bit pattern (`z0` first), so comparisons are
+    /// bit for bit — signed zeros and NaN payloads included.
+    fn bits(p: Option<PolarizedS>) -> Option<Vec<u64>> {
+        p.map(|p| {
+            let mut out = vec![p.z0.to_bits()];
+            for m in [p.s11, p.s12, p.s21, p.s22] {
+                for c in [m.a, m.b, m.c, m.d] {
+                    out.extend([c.re.to_bits(), c.im.to_bits()]);
+                }
+            }
+            out
+        })
+    }
+
+    /// Every catalog design, each fixed and tuned panel of
+    /// `fr4_optimized` alone, and the empty (opaque) stack.
+    fn pinned_stacks() -> Vec<(String, SurfaceStack)> {
+        let mut stacks: Vec<(String, SurfaceStack)> = [
+            fr4_optimized(),
+            rogers_reference(),
+            fr4_naive(),
+            rfid_900mhz(),
+        ]
+        .into_iter()
+        .map(|d| (d.name.to_string(), d.stack))
+        .collect();
+        for (i, panel) in fr4_optimized().stack.panels.into_iter().enumerate() {
+            stacks.push((format!("panel {i}"), SurfaceStack::new(vec![panel], vec![])));
+        }
+        stacks.push(("empty".into(), SurfaceStack::new(vec![], vec![])));
+        stacks
+    }
+
+    /// Asserts `got[i]` equals a fresh plan's single-point `response` at
+    /// `biases[i]`, bit for bit.
+    fn assert_matches_single_points(
+        stack: &SurfaceStack,
+        biases: &[BiasState],
+        got: &[Option<PolarizedS>],
+        what: &str,
+    ) {
+        let single = StackEvaluator::new(stack, F);
+        assert_eq!(got.len(), biases.len(), "{what}");
+        for (i, (b, cell)) in biases.iter().zip(got).enumerate() {
+            assert_eq!(bits(*cell), bits(single.response(*b)), "{what} cell {i}");
+        }
+    }
+
+    #[test]
+    fn reference_batch_is_bitwise_equal_to_single_point_responses() {
+        // 150 biases over 13 × 7 distinct voltages: duplicates exercise
+        // the per-axis dedupe, and the stacks cover the lone-stage and
+        // opaque guards.
+        let biases: Vec<BiasState> = (0..150)
+            .map(|i| BiasState::new((i % 13) as f64 * 2.3, (i % 7) as f64 * 4.1))
+            .collect();
+        for (name, stack) in pinned_stacks() {
+            let batch = StackEvaluator::new(&stack, F).eval_batch_reference(&biases);
+            assert_matches_single_points(&stack, &biases, &batch, &name);
+        }
+    }
+
+    #[test]
+    fn ragged_large_grid_is_bitwise_equal_to_single_point_responses() {
+        // 23 × 17 = 391 cells: past the sequential cutoff, and ragged so
+        // a transposed index would land on the wrong voltage.
+        let vxs: Vec<f64> = (0..23).map(|i| 1.3 * i as f64).collect();
+        let vys: Vec<f64> = (0..17).map(|i| 0.25 + 1.7 * i as f64).collect();
+        let biases: Vec<BiasState> = vys
+            .iter()
+            .flat_map(|&vy| vxs.iter().map(move |&vx| BiasState::new(vx, vy)))
+            .collect();
+        for (name, stack) in pinned_stacks() {
+            let grid = StackEvaluator::new(&stack, F).eval_grid(&vxs, &vys);
+            assert_matches_single_points(&stack, &biases, &grid, &name);
+        }
+    }
+
     #[test]
     fn large_grid_takes_threaded_path_and_matches() {
-        // 31×31 exceeds the sequential cutoff; force four workers so the
-        // std::thread::scope row fan-out runs even on single-core hosts,
-        // and check it agrees with the auto-threaded and naive paths.
+        // 31×31 exceeds the sequential cutoff, so `eval_grid` fans the
+        // cells out across workers; every cell must equal the
+        // single-point response bit for bit and the naive cascade to
+        // 1e-12. (Multi-worker chunking itself is pinned by
+        // `rfmath::par::tests`.)
         let design = fr4_optimized();
         let ev = StackEvaluator::new(&design.stack, F);
         let volts: Vec<f64> = (0..31).map(|i| i as f64).collect();
-        let grid = ev.eval_grid_threaded(&volts, &volts, 4);
-        let auto = ev.eval_grid(&volts, &volts);
-        for (i, (cell, auto_cell)) in grid.iter().zip(&auto).enumerate() {
-            let (ix, iy) = (i % 31, i / 31);
-            let naive = design
-                .stack
-                .response(F, BiasState::new(volts[ix], volts[iy]))
-                .unwrap();
+        let grid = ev.eval_grid(&volts, &volts);
+        assert_eq!(grid.len(), 31 * 31);
+        for (i, cell) in grid.iter().enumerate() {
+            let bias = BiasState::new(volts[i % 31], volts[i / 31]);
+            let naive = design.stack.response(F, bias).unwrap();
             assert!(max_diff(naive, cell.unwrap()) < 1e-12, "cell {i}");
-            assert!(
-                max_diff(cell.unwrap(), auto_cell.unwrap()) == 0.0,
-                "cell {i}"
-            );
+            assert_eq!(bits(*cell), bits(ev.response(bias)), "cell {i}");
         }
     }
 
     #[test]
     fn uneven_row_chunks_cover_every_cell() {
-        // 3 workers over 20 rows (chunks of 7, 7, 6) — exercises the
-        // remainder chunk of the fan-out.
+        // 400 cells split across however many workers the host offers
+        // (chunk remainders included): every cell must be filled with
+        // its own single-point response.
         let design = fr4_optimized();
         let ev = StackEvaluator::new(&design.stack, F);
         let vxs: Vec<f64> = (0..20).map(|i| 1.5 * i as f64).collect();
         let vys = vxs.clone();
-        let threaded = ev.eval_grid_threaded(&vxs, &vys, 3);
-        let sequential = ev.eval_grid_threaded(&vxs, &vys, 1);
-        assert_eq!(threaded.len(), 400);
-        for (a, b) in threaded.iter().zip(&sequential) {
-            assert!(max_diff(a.unwrap(), b.unwrap()) == 0.0);
+        let grid = ev.eval_grid(&vxs, &vys);
+        assert_eq!(grid.len(), 400);
+        for (i, cell) in grid.iter().enumerate() {
+            let bias = BiasState::new(vxs[i % 20], vys[i / 20]);
+            assert_eq!(bits(*cell), bits(ev.response(bias)), "cell {i}");
         }
     }
 

@@ -808,11 +808,15 @@ mod tests {
 
     #[test]
     fn time_series_is_static_without_modulation() {
+        // Ten samples over one second at 10 Hz: with no modulated path
+        // the received power never moves.
         let link = base_link(45.0);
-        let series = link.received_dbm_series(None, 10.0, Seconds(1.0));
-        assert_eq!(series.len(), 10);
-        let first = series[0].1 .0;
-        assert!(series.iter().all(|(_, p)| (p.0 - first).abs() < 1e-9));
+        let dbm_at = |i: u32| {
+            let a = link.received_amplitude_with(None, Seconds(f64::from(i) / 10.0));
+            Watts(a.norm_sqr()).to_dbm().0
+        };
+        let first = dbm_at(0);
+        assert!((1..10).all(|i| (dbm_at(i) - first).abs() < 1e-9));
     }
 
     #[test]
