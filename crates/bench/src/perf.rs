@@ -46,14 +46,14 @@ const ALLOC_MEASURED_TICKS: usize = 8;
 const ALLOC_KERNEL_DEVICES: usize = 8;
 
 /// Steady-state heap allocations per tick of a synthetic probe kernel:
-/// for each of [`ALLOC_KERNEL_DEVICES`] devices, one scratch-buffer power
+/// for each of `ALLOC_KERNEL_DEVICES` (8) devices, one scratch-buffer power
 /// probe ([`PreparedLink::received_dbm_scratch`]) plus a sweep of nine
 /// biases through a compiled plan ([`StackEvaluator::response`]). This is
 /// *not* a [`MobilitySim`] tick: the real warm tick allocates (roombench
 /// reports it as `sim.allocs_per_tick`, ≈100–110 per tick). Measured on
-/// the calling thread after [`ALLOC_WARMUP_TICKS`] warm-up ticks
+/// the calling thread after `ALLOC_WARMUP_TICKS` (2) warm-up ticks
 /// (buffers grown, memos populated), averaged over
-/// [`ALLOC_MEASURED_TICKS`] ticks, and cached for the process. `None`
+/// `ALLOC_MEASURED_TICKS` (8) ticks, and cached for the process. `None`
 /// when the counting allocator is compiled out (release builds —
 /// artifacts then stamp `null` instead of a number measured without
 /// counting).
@@ -268,7 +268,7 @@ const SERVER_FLEETS: usize = 8;
 /// [`metasurface::PlanCache`] across the array) against the naive
 /// per-device loops, the end-to-end panel scheduler against
 /// single-panel `MaxMin` (recording the min-power gain the panels buy),
-/// and the [`FleetServer`] multiplexing [`SERVER_FLEETS`] fleets against
+/// and the [`FleetServer`] multiplexing `SERVER_FLEETS` (8) fleets against
 /// serial execution (informational — one core cannot beat 1×).
 pub fn run_panels(quick: bool) -> Report {
     let fleet = Fleet::mixed_wifi_ble(FLEET_SIZE, 2021);

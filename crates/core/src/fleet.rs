@@ -300,24 +300,14 @@ impl FleetEvaluator {
     /// caches by design name).
     pub fn with_plan_cache(fleet: &Fleet, cache: &PlanCache) -> Self {
         assert!(!fleet.is_empty(), "cannot evaluate an empty fleet");
-        let mut plans: Vec<Rc<StackEvaluator>> = Vec::new();
-        let mut plan_of = Vec::with_capacity(fleet.len());
-        let mut links = Vec::with_capacity(fleet.len());
-        for device in fleet.devices() {
-            let f = device.scenario.frequency;
-            let idx = plans
-                .iter()
-                .position(|p| p.frequency().0.to_bits() == f.0.to_bits())
-                .unwrap_or_else(|| {
-                    plans.push(cache.plan(f));
-                    plans.len() - 1
-                });
-            plan_of.push(idx);
-            links.push(PreparedLink::new(device.scenario.link()));
-        }
+        let (carriers, plan_of) = fleet.carriers();
         Self {
-            links,
-            plans,
+            links: fleet
+                .devices()
+                .iter()
+                .map(|device| PreparedLink::new(device.scenario.link()))
+                .collect(),
+            plans: carriers.into_iter().map(|f| cache.plan(f)).collect(),
             plan_of,
             v_max: SUPPLY_CEILING,
             fault: None,
@@ -396,7 +386,7 @@ impl FleetEvaluator {
         let responses: Vec<SurfaceResponse> = self
             .plans
             .iter()
-            .map(|p| SurfaceResponse::new(p.frequency(), p.response(bias)))
+            .map(|p| p.surface_response(bias))
             .collect();
         if self.reference_batch {
             // Baseline arm: the pre-optimization allocating probe.

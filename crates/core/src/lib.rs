@@ -34,7 +34,8 @@
 //!   bill probing airtime and rail settling against serving duty;
 //! * [`multilink`] — the §7 outlook: several receivers sharing one
 //!   surface, with max-min fairness and favor/suppress (polarization
-//!   access control) policies (now thin wrappers over [`fleet`]);
+//!   access control) policies, each a full-grid search of its own over
+//!   the batched surface evaluator;
 //! * [`render`] — ASCII tables, histograms, heatmaps and sparklines for
 //!   terminal output;
 //! * [`telemetry`] — the unified telemetry plane (canonical face of

@@ -14,13 +14,16 @@
 //! * [`optimize_favor`] — access control: maximize one receiver while
 //!   suppressing the others (polarization as a crude spatial key).
 //!
-//! Since the fleet engine landed, both are thin fronts over
-//! [`crate::fleet`]'s shared-plan batch path: the bias grid is cascaded
-//! once per probe ([`StackEvaluator::eval_batch`]) and each probe's path
-//! set is built once and projected onto every receiver
-//! ([`Link::received_dbm_for`]), instead of re-evaluating the full stack
-//! per receiver per bias. `batched == naive` is pinned to 1e-12 by the
-//! regression tests below and `tests/proptest_fleet.rs`.
+//! Both run one full-grid search of their own — not the
+//! [`crate::fleet`] scheduler and not Algorithm 1's coarse-to-fine
+//! sweep: the whole `steps × steps` bias grid is cascaded in one batch
+//! ([`StackEvaluator::eval_batch`]) and each probe's path set is built
+//! once and projected onto every receiver
+//! ([`PreparedLink::received_dbm_for`]; [`group_powers`] does the same
+//! for one bias through [`Link::received_dbm_for`]), instead of
+//! re-evaluating the full stack per receiver per bias. `batched ==
+//! naive` is pinned to 1e-12 by this module's
+//! `batched_search_matches_naive_to_1e12` test.
 //!
 //! When one shared bias cannot serve the population at all — mutually
 //! orthogonal sectors, large fleets — the next lever is *spatial*

@@ -506,10 +506,7 @@ impl ReferenceProbes {
                 let cache = PanelArray::cache_for(caches, &panel.design);
                 carriers
                     .iter()
-                    .map(|&f| {
-                        let plan = cache.plan(f);
-                        SurfaceResponse::new(plan.frequency(), plan.response(REFERENCE_BIAS))
-                    })
+                    .map(|&f| cache.plan(f).surface_response(REFERENCE_BIAS))
                     .collect()
             })
             .collect();

@@ -15,8 +15,8 @@
 //! bias only evaluates the tuned branches (memoized per voltage) and a
 //! handful of block multiplies. A `T×T` bias heatmap therefore costs
 //! `O(T)` per-axis ABCD evaluations instead of `O(T²)` full cascade
-//! rebuilds, and [`StackEvaluator::eval_grid`] additionally fans
-//! independent grid rows out across threads (`std::thread::scope` — no
+//! rebuilds, and batches of 256 cells or more ([`StackEvaluator::eval_grid`]
+//! included) are split across scoped worker threads (`rfmath::par` — no
 //! external dependencies).
 //!
 //! Two layers sit on top of the per-point plan:
@@ -39,7 +39,9 @@
 //! The per-point engine is *exactly* equivalent to the naive path:
 //! stages are built by the same code, and both sides fold transfers
 //! left-to-right, so batched and per-point results agree to well below
-//! `1e-12` (`tests/proptest_evaluator.rs` is the contract).
+//! `1e-12` (`tests/proptest_evaluator.rs` is the contract). Single
+//! probes, reference batches and grids share one per-cell fold, so
+//! those three agree bit for bit.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -238,6 +240,58 @@ impl PlanCore {
             opaque,
         }
     }
+
+    /// The one per-cell cascade fold: `x(k)` / `y(k)` supply tuned panel
+    /// `k`'s branch S-parameters at this cell's voltages (memo lookups
+    /// for a single probe, table lookups for a batch). A lone stage is
+    /// assembled exactly as [`SurfaceStack::response`] does (rotation
+    /// call included), an opaque plan answers `None`, and everything
+    /// else folds transfers left to right like the naive cascade.
+    fn fold(
+        &self,
+        x: impl Fn(usize) -> SParams,
+        y: impl Fn(usize) -> SParams,
+    ) -> Option<PolarizedS> {
+        match &self.lone {
+            Some(Lone::Static(stage)) => return Some(**stage),
+            Some(Lone::Tuned) => {
+                return Some(PolarizedS::from_axes(x(0), y(0)).rotated(self.tuned[0].rotation))
+            }
+            None if self.opaque => return None,
+            None => {}
+        }
+        let mut acc: Option<WaveTransfer> = None;
+        for step in &self.steps {
+            let t = match *step {
+                Step::Static(k) => self.statics[k],
+                Step::Tuned(k) => tuned_transfer(x(k), y(k), self.tuned[k].rotation)?,
+            };
+            match acc.as_mut() {
+                Some(acc) => acc.push(&t),
+                None => acc = Some(t),
+            }
+        }
+        acc?.to_s()
+    }
+}
+
+/// A batch's per-axis branch tables: every distinct voltage solved once
+/// per tuned panel (`x[k][ix]`, `y[k][iy]`), and each bias's `(ix, iy)`
+/// table indices.
+struct AxisTables {
+    x: Vec<Vec<SParams>>,
+    y: Vec<Vec<SParams>>,
+    cells: Vec<(usize, usize)>,
+}
+
+/// Worker count for a batch of `n` cells: sequential below 256 (too
+/// little work to amortize thread spawn), every available core above.
+fn batch_threads(n: usize) -> usize {
+    if n < 256 {
+        1
+    } else {
+        rfmath::par::available_threads()
+    }
 }
 
 /// The compiled, frequency-specific evaluation plan of a
@@ -289,17 +343,6 @@ impl StackEvaluator {
         axis_s(&self.memos[k].y, v, || sheet.abcd_y(f, Volts(v)).to_s(ETA0))
     }
 
-    /// Assembles a one-panel stack's stage exactly as
-    /// [`SurfaceStack::response`] does (including the rotation call, so
-    /// the result is bit-identical to the naive path).
-    fn lone_stage(&self, lone: &Lone, vx: f64, vy: f64) -> PolarizedS {
-        match lone {
-            Lone::Static(stage) => **stage,
-            Lone::Tuned => PolarizedS::from_axes(self.x_s(0, vx), self.y_s(0, vy))
-                .rotated(self.core.tuned[0].rotation),
-        }
-    }
-
     /// Number of bias-dependent panels in the plan.
     pub fn tuned_panel_count(&self) -> usize {
         self.core.tuned.len()
@@ -311,29 +354,8 @@ impl StackEvaluator {
     /// static stages and per-voltage branch memos; zero heap allocation
     /// per call once the memos are warm.
     pub fn response(&self, bias: BiasState) -> Option<PolarizedS> {
-        let core = &*self.core;
-        if let Some(lone) = &core.lone {
-            return Some(self.lone_stage(lone, bias.vx.0, bias.vy.0));
-        }
-        if core.opaque {
-            return None;
-        }
-        let mut acc: Option<WaveTransfer> = None;
-        for step in &core.steps {
-            let t = match step {
-                Step::Static(k) => core.statics[*k],
-                Step::Tuned(k) => tuned_transfer(
-                    self.x_s(*k, bias.vx.0),
-                    self.y_s(*k, bias.vy.0),
-                    core.tuned[*k].rotation,
-                )?,
-            };
-            match acc.as_mut() {
-                Some(acc) => acc.push(&t),
-                None => acc = Some(t),
-            }
-        }
-        acc?.to_s()
+        self.core
+            .fold(|k| self.x_s(k, bias.vx.0), |k| self.y_s(k, bias.vy.0))
     }
 
     /// [`StackEvaluator::response`] wrapped into the [`SurfaceResponse`]
@@ -378,60 +400,51 @@ impl StackEvaluator {
         }
     }
 
-    /// The per-cell reference batch path: folds a [`WaveTransfer`] per
-    /// cell exactly like [`StackEvaluator::response`]. Kept public as
-    /// the A/B baseline for the structure-of-arrays path — benches
-    /// measure `eval_batch` against this, and the proptests pin the two
-    /// within `1e-12`.
-    pub fn eval_batch_reference(&self, biases: &[BiasState]) -> Vec<Option<PolarizedS>> {
-        let core = &*self.core;
-        let mut out: Vec<Option<PolarizedS>> = vec![None; biases.len()];
-        if biases.is_empty() || core.opaque {
-            return out;
-        }
-        if let Some(lone) = &core.lone {
-            for (slot, b) in out.iter_mut().zip(biases) {
-                *slot = Some(self.lone_stage(lone, b.vx.0, b.vy.0));
-            }
-            return out;
-        }
-
-        let (vxs, vys, cells) = dedupe_biases(biases);
-        let x_tables: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vxs.iter().map(|&v| self.x_s(k, v)).collect())
-            .collect();
-        let y_tables: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vys.iter().map(|&v| self.y_s(k, v)).collect())
-            .collect();
-        let rotations: Vec<Radians> = core.tuned.iter().map(|p| p.rotation).collect();
-        let steps = &core.steps;
-        let statics = &core.statics;
-
-        let cell = |ix: usize, iy: usize| -> Option<PolarizedS> {
-            let mut acc: Option<WaveTransfer> = None;
-            for step in steps {
-                let t = match step {
-                    Step::Static(k) => statics[*k],
-                    Step::Tuned(k) => {
-                        tuned_transfer(x_tables[*k][ix], y_tables[*k][iy], rotations[*k])?
-                    }
-                };
-                match acc.as_mut() {
-                    Some(acc) => acc.push(&t),
-                    None => acc = Some(t),
+    /// Per-axis branch tables for `biases`: voltages deduplicated by bit
+    /// pattern, so every distinct value costs one ABCD solve per tuned
+    /// panel batch-wide (through the memos). The one table builder of
+    /// both batch paths.
+    fn axis_tables(&self, biases: &[BiasState]) -> AxisTables {
+        let mut vxs: Vec<f64> = Vec::new();
+        let mut vys: Vec<f64> = Vec::new();
+        let index_of = |table: &mut Vec<f64>, v: f64| -> usize {
+            match table.iter().position(|&u| u.to_bits() == v.to_bits()) {
+                Some(i) => i,
+                None => {
+                    table.push(v);
+                    table.len() - 1
                 }
             }
-            acc?.to_s()
         };
+        let cells = biases
+            .iter()
+            .map(|b| (index_of(&mut vxs, b.vx.0), index_of(&mut vys, b.vy.0)))
+            .collect();
+        let panels = 0..self.core.tuned.len();
+        AxisTables {
+            x: panels
+                .clone()
+                .map(|k| vxs.iter().map(|&v| self.x_s(k, v)).collect())
+                .collect(),
+            y: panels
+                .map(|k| vys.iter().map(|&v| self.y_s(k, v)).collect())
+                .collect(),
+            cells,
+        }
+    }
 
-        let threads = if biases.len() < 256 {
-            1
-        } else {
-            rfmath::par::available_threads()
-        };
-        rfmath::par::par_fill(&mut out, threads, |i| {
-            let (ix, iy) = cells[i];
-            cell(ix, iy)
+    /// The per-cell reference batch path: runs the plan's one cascade
+    /// fold per cell over table lookups, so every cell is bit-identical
+    /// to [`StackEvaluator::response`]. Kept public as the A/B baseline
+    /// for the structure-of-arrays path — benches measure `eval_batch`
+    /// against this, and the proptests pin the two within `1e-12`.
+    pub fn eval_batch_reference(&self, biases: &[BiasState]) -> Vec<Option<PolarizedS>> {
+        let core = &*self.core;
+        let tables = self.axis_tables(biases);
+        let mut out: Vec<Option<PolarizedS>> = vec![None; biases.len()];
+        rfmath::par::par_fill(&mut out, batch_threads(biases.len()), |i| {
+            let (ix, iy) = tables.cells[i];
+            core.fold(|k| tables.x[k][ix], |k| tables.y[k][iy])
         });
         out
     }
@@ -440,38 +453,26 @@ impl StackEvaluator {
     /// layout and `soa_block` for the kernel.
     fn eval_batch_soa(&self, biases: &[BiasState]) -> Vec<Option<PolarizedS>> {
         let core = &*self.core;
-        let mut out: Vec<Option<PolarizedS>> = vec![None; biases.len()];
-        let (vxs, vys, cells) = dedupe_biases(biases);
-
         // O(distinct voltages) setup: per-axis branch solves (memoized).
         // The scalar wave transfers themselves are assembled per cell in
         // the kernel — the reference path couples the two axes through
         // one shared `det(S21) = s21x·s21y` inverse, and reproducing
         // that exact operation order is what keeps the fast path
         // bit-compatible.
-        let x_params: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vxs.iter().map(|&v| self.x_s(k, v)).collect())
-            .collect();
-        let y_params: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vys.iter().map(|&v| self.y_s(k, v)).collect())
-            .collect();
+        let tables = self.axis_tables(biases);
         let statics: Vec<[Complex; 16]> = core.statics.iter().map(|t| t.components()).collect();
         let z0 = core.statics.first().map(|t| t.z0()).unwrap_or(ETA0);
 
         let ctx = SoaCtx {
             steps: &core.steps,
             statics: &statics,
-            x_params: &x_params,
-            y_params: &y_params,
-            cells: &cells,
+            x_params: &tables.x,
+            y_params: &tables.y,
+            cells: &tables.cells,
             z0,
         };
-        let threads = if biases.len() < 256 {
-            1
-        } else {
-            rfmath::par::available_threads()
-        };
-        rfmath::par::par_fill_chunked(&mut out, threads, |offset, chunk| {
+        let mut out: Vec<Option<PolarizedS>> = vec![None; biases.len()];
+        rfmath::par::par_fill_chunked(&mut out, batch_threads(biases.len()), |offset, chunk| {
             soa_fill(&ctx, offset, chunk)
         });
         out
@@ -482,74 +483,16 @@ impl StackEvaluator {
     /// `(vxs[ix], vys[iy])`) — the layout of the Figure 15/21 heatmaps
     /// and Table 1.
     ///
-    /// Each tuned panel's branches are evaluated once per distinct axis
-    /// voltage (`O(T)` instead of `O(T²)` ABCD solves), then independent
-    /// rows are evaluated in parallel with `std::thread::scope` when the
-    /// grid is large enough to amortize thread spawn.
+    /// This is [`StackEvaluator::eval_batch_reference`] over the grid's
+    /// row-major bias list: each tuned panel's branches are solved once
+    /// per distinct axis voltage (`O(T)` instead of `O(T²)` ABCD solves),
+    /// and grids of 256 cells or more are split across threads.
     pub fn eval_grid(&self, vxs: &[f64], vys: &[f64]) -> Vec<Option<PolarizedS>> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.eval_grid_threaded(vxs, vys, threads)
-    }
-
-    /// [`StackEvaluator::eval_grid`] with an explicit worker count
-    /// (clamped to the row count; ≤ 1 evaluates sequentially). Exposed
-    /// so the threaded path stays testable on single-core hosts.
-    pub fn eval_grid_threaded(
-        &self,
-        vxs: &[f64],
-        vys: &[f64],
-        threads: usize,
-    ) -> Vec<Option<PolarizedS>> {
-        let core = &*self.core;
-        let nx = vxs.len();
-        let ny = vys.len();
-        let mut out: Vec<Option<PolarizedS>> = vec![None; nx * ny];
-        if core.opaque || nx == 0 || ny == 0 {
-            return out;
-        }
-        if let Some(lone) = &core.lone {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = Some(self.lone_stage(lone, vxs[i % nx], vys[i / nx]));
-            }
-            return out;
-        }
-
-        // O(T) separable precompute: per-axis branch S-parameters.
-        let x_tables: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vxs.iter().map(|&v| self.x_s(k, v)).collect())
+        let biases: Vec<BiasState> = vys
+            .iter()
+            .flat_map(|&vy| vxs.iter().map(move |&vx| BiasState::new(vx, vy)))
             .collect();
-        let y_tables: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vys.iter().map(|&v| self.y_s(k, v)).collect())
-            .collect();
-        let rotations: Vec<Radians> = core.tuned.iter().map(|p| p.rotation).collect();
-        let steps = &core.steps;
-        let statics = &core.statics;
-
-        let cell = |ix: usize, iy: usize| -> Option<PolarizedS> {
-            let mut acc: Option<WaveTransfer> = None;
-            for step in steps {
-                let t = match step {
-                    Step::Static(k) => statics[*k],
-                    Step::Tuned(k) => {
-                        tuned_transfer(x_tables[*k][ix], y_tables[*k][iy], rotations[*k])?
-                    }
-                };
-                match acc.as_mut() {
-                    Some(acc) => acc.push(&t),
-                    None => acc = Some(t),
-                }
-            }
-            acc?.to_s()
-        };
-
-        // Worker count tracks rows (the original row-fan-out
-        // granularity); the shared helper chunks by cell, which is
-        // equivalent for a pure kernel.
-        let threads = if nx * ny < 256 { 1 } else { threads.min(ny) };
-        rfmath::par::par_fill(&mut out, threads, |i| cell(i % nx, i / nx));
-        out
+        self.eval_batch_reference(&biases)
     }
 }
 
@@ -565,28 +508,6 @@ const SOA_BLOCK: usize = 64;
 /// a tuned stage whose transmission-block determinant falls below this
 /// is opaque (`None`), matching the reference path's check exactly.
 const SOA_SINGULAR: f64 = 1e-300;
-
-/// Deduplicates per-axis voltages by bit pattern so every distinct value
-/// costs one ABCD solve per tuned panel, batch-wide. Returns the
-/// distinct voltage tables and each bias's `(ix, iy)` table indices.
-fn dedupe_biases(biases: &[BiasState]) -> (Vec<f64>, Vec<f64>, Vec<(usize, usize)>) {
-    let mut vxs: Vec<f64> = Vec::new();
-    let mut vys: Vec<f64> = Vec::new();
-    let index_of = |table: &mut Vec<f64>, v: f64| -> usize {
-        match table.iter().position(|&u| u.to_bits() == v.to_bits()) {
-            Some(i) => i,
-            None => {
-                table.push(v);
-                table.len() - 1
-            }
-        }
-    };
-    let cells = biases
-        .iter()
-        .map(|b| (index_of(&mut vxs, b.vx.0), index_of(&mut vys, b.vy.0)))
-        .collect();
-    (vxs, vys, cells)
-}
 
 /// Shared read-only context for the structure-of-arrays kernel: the
 /// compiled steps, static stages flattened to row-major 4×4 complex

@@ -89,15 +89,8 @@ pub struct Link {
 
 impl Link {
     /// All propagation paths for this link (engineered + environment +
-    /// extras), with the surface's current bias state folded in when
-    /// present.
-    pub fn paths(&self, surface: Option<&Metasurface>) -> Vec<Path> {
-        let response = surface.map(|s| s.response(self.frequency));
-        self.paths_with(response.as_ref())
-    }
-
-    /// [`Link::paths`] against a precomputed surface response (one
-    /// cascade evaluation shared by every consumer of this probe).
+    /// extras) against a precomputed surface response (one cascade
+    /// evaluation shared by every consumer of this probe).
     pub fn paths_with(&self, surface: Option<&SurfaceResponse>) -> Vec<Path> {
         let mut paths = engineered_paths(self.deployment, surface, self.frequency);
         paths.extend(self.static_paths());
@@ -140,44 +133,37 @@ impl Link {
         self.project_onto(&paths, surface, &self.rx, t)
     }
 
-    /// Per-receiver amplitudes for several receive mounts sharing this
-    /// link's transmitter, geometry and environment — the multi-device
-    /// inner loop: the path set (engineered + scatter + extras) is built
-    /// once per probe and only the polarization projection runs per
-    /// receiver, instead of a full link rebuild per device.
+    /// Per-receiver powers in dBm at `t = 0` for several receive mounts
+    /// sharing this link's transmitter, geometry and environment — the
+    /// multi-device inner loop: the path set (engineered + scatter +
+    /// extras) is built once per probe and only the polarization
+    /// projection runs per receiver, instead of a full link rebuild per
+    /// device.
     ///
     /// Element `i` equals `{rx = receivers[i], ..self}.
-    /// received_amplitude_with(surface, t)` to within floating-point
+    /// received_dbm_with(surface)` to within floating-point
     /// reassociation (≪ 1e-12 relative).
-    pub fn received_amplitudes_for(
-        &self,
-        surface: Option<&SurfaceResponse>,
-        receivers: &[OrientedAntenna],
-        t: Seconds,
-    ) -> Vec<Complex> {
-        let paths = self.paths_with(surface);
-        receivers
-            .iter()
-            .map(|rx| self.project_onto(&paths, surface, rx, t))
-            .collect()
-    }
-
-    /// [`Link::received_amplitudes_for`] reduced to received powers in
-    /// dBm at `t = 0`.
     pub fn received_dbm_for(
         &self,
         surface: Option<&SurfaceResponse>,
         receivers: &[OrientedAntenna],
     ) -> Vec<Dbm> {
-        self.received_amplitudes_for(surface, receivers, Seconds(0.0))
-            .into_iter()
-            .map(|a| Watts(a.norm_sqr()).to_dbm())
+        let paths = self.paths_with(surface);
+        receivers
+            .iter()
+            .map(|rx| {
+                Watts(
+                    self.project_onto(&paths, surface, rx, Seconds(0.0))
+                        .norm_sqr(),
+                )
+                .to_dbm()
+            })
             .collect()
     }
 
-    /// The shared projection core: sums `paths` onto one receive mount.
-    /// Every public power/amplitude accessor funnels through here, so
-    /// single-receiver and batched evaluation stay in lockstep.
+    /// Projects `paths` onto one receive mount under the probe's shadow
+    /// factor. Every `Link` power/amplitude accessor funnels through
+    /// here, so single-receiver and batched evaluation stay in lockstep.
     fn project_onto(
         &self,
         paths: &[Path],
@@ -194,16 +180,33 @@ impl Link {
             );
         }
         let shadow = self.shadow_factor(surface);
+        self.sum_terms(paths, rx, t.0, |_| Some(shadow)) * self.amp_scale(rx)
+    }
+
+    /// The one projection loop: sums every path's projection term onto
+    /// `rx` at time `t`, in path order, before the boresight scale.
+    /// `factor(path)` is the path's shadow factor, or `None` to leave
+    /// the path out. Callers that add cached terms afterwards continue
+    /// the same running total, so the order of additions never changes.
+    fn sum_terms(
+        &self,
+        paths: &[Path],
+        rx: &OrientedAntenna,
+        t: f64,
+        factor: impl Fn(&Path) -> Option<f64>,
+    ) -> Complex {
         let tx_state = self.tx.polarization();
         let rx_state = rx.polarization();
         let tx_rx = self.deployment.tx_rx_distance().0;
         let mut total = Complex::ZERO;
         for path in paths {
-            total += self
-                .path_term(path, rx, &tx_state, &rx_state, tx_rx, t.0)
-                .contribution(shadow);
+            if let Some(shadow) = factor(path) {
+                total += self
+                    .path_term(path, rx, &tx_state, &rx_state, tx_rx, t)
+                    .contribution(shadow);
+            }
         }
-        total * self.amp_scale(rx)
+        total
     }
 
     /// Boresight illumination scale: directional antennas apply their
@@ -285,43 +288,14 @@ impl Link {
         self.received_power(surface).to_dbm()
     }
 
-    /// Received power in watts at `t = 0` against a precomputed surface
+    /// Received power in dBm at `t = 0` against a precomputed surface
     /// response.
-    pub fn received_power_with(&self, surface: Option<&SurfaceResponse>) -> Watts {
+    pub fn received_dbm_with(&self, surface: Option<&SurfaceResponse>) -> Dbm {
         Watts(
             self.received_amplitude_with(surface, Seconds(0.0))
                 .norm_sqr(),
         )
-    }
-
-    /// Received power in dBm at `t = 0` against a precomputed surface
-    /// response.
-    pub fn received_dbm_with(&self, surface: Option<&SurfaceResponse>) -> Dbm {
-        self.received_power_with(surface).to_dbm()
-    }
-
-    /// Received power time-series sampled at `rate_hz` for `duration`
-    /// seconds (used by the sensing pipeline).
-    pub fn received_dbm_series(
-        &self,
-        surface: Option<&Metasurface>,
-        rate_hz: f64,
-        duration: Seconds,
-    ) -> Vec<(Seconds, Dbm)> {
-        // The bias is fixed over the series, so one cascade evaluation
-        // serves every time sample.
-        let response = surface.map(|s| s.response(self.frequency));
-        let n = (rate_hz * duration.0).ceil() as usize;
-        (0..n)
-            .map(|i| {
-                let t = Seconds(i as f64 / rate_hz);
-                let p = Watts(
-                    self.received_amplitude_with(response.as_ref(), t)
-                        .norm_sqr(),
-                );
-                (t, p.to_dbm())
-            })
-            .collect()
+        .to_dbm()
     }
 
     /// Polarization mismatch between the mounts, degrees.
@@ -517,26 +491,28 @@ impl PreparedLink {
     /// reusable (rotation, power, blockage — the common dirty moves)
     /// this swaps the link in place and touches no heap at all, instead
     /// of cloning the static path vector per rebind; a genuine move
-    /// re-realizes the scatter into this handle's storage.
-    /// Result is bitwise equal to `*self = self.rebind(link)`.
+    /// replays the cached scatter draws into this handle's storage, and
+    /// a changed environment re-prepares the handle with
+    /// [`PreparedLink::new`]. Result is bitwise equal to
+    /// `*self = self.rebind(link)`.
     pub fn rebind_in_place(&mut self, link: Link) {
         if !self.static_paths_reusable(&link) {
-            if self.scatter_draws_reusable(&link) {
-                // Genuine move with an unchanged environment: replay the
-                // cached draws at the new separation. No RNG, and the
-                // path vector's storage is reused — the steady-state
-                // mobility tick touches no heap even when devices roam.
-                self.static_paths.clear();
-                link.environment.scatter_paths_from(
-                    &self.scatter_draws,
-                    link.deployment.tx_rx_distance(),
-                    link.frequency,
-                    &mut self.static_paths,
-                );
-            } else {
-                self.static_paths = link.static_paths();
-                self.scatter_draws = link.environment.scatter_draws(link.tuning.scatter_xpd_db);
+            if !self.scatter_draws_reusable(&link) {
+                // A new environment: realize its scatter from scratch.
+                *self = Self::new(link);
+                return;
             }
+            // Genuine move with an unchanged environment: replay the
+            // cached draws at the new separation. No RNG, and the path
+            // vector's storage is reused — the steady-state mobility
+            // tick touches no heap even when devices roam.
+            self.static_paths.clear();
+            link.environment.scatter_paths_from(
+                &self.scatter_draws,
+                link.deployment.tx_rx_distance(),
+                link.frequency,
+                &mut self.static_paths,
+            );
         }
         self.link = link;
         // Rotation, power and re-mounting all perturb the projection
@@ -581,8 +557,8 @@ impl PreparedLink {
     /// allocating variant.
     ///
     /// At `t = 0` (every power probe) only the engineered paths are
-    /// projected in full; the static tail is summed from the cached
-    /// [`ProjTerm`]s — same contributions in the same order, so the
+    /// projected in full; the static tail is summed from cached
+    /// projection terms — same contributions in the same order, so the
     /// result is still bit-identical, at a fraction of the per-probe
     /// trigonometry.
     pub fn received_amplitude_scratch(
@@ -600,16 +576,9 @@ impl PreparedLink {
         scratch.clear();
         engineered_paths_into(self.link.deployment, surface, self.link.frequency, scratch);
         let shadow = self.link.shadow_factor(surface);
-        let tx_state = self.link.tx.polarization();
-        let rx_state = self.link.rx.polarization();
-        let tx_rx = self.link.deployment.tx_rx_distance().0;
-        let mut total = Complex::ZERO;
-        for path in scratch.iter() {
-            total += self
-                .link
-                .path_term(path, &self.link.rx, &tx_state, &rx_state, tx_rx, 0.0)
-                .contribution(shadow);
-        }
+        let mut total = self
+            .link
+            .sum_terms(scratch, &self.link.rx, 0.0, |_| Some(shadow));
         for term in &self.static_terms {
             total += term.contribution(shadow);
         }
@@ -646,21 +615,11 @@ impl PreparedLink {
             self.link.frequency,
             scratch,
         );
-        let tx_state = self.link.tx.polarization();
-        let rx_state = self.link.rx.polarization();
-        let tx_rx = self.link.deployment.tx_rx_distance().0;
-        let mut total = Complex::ZERO;
-        for path in scratch.iter() {
-            if path.label == "direct" {
-                // A reflective deployment's direct ray never touches the
-                // surface; the home link already carries it.
-                continue;
-            }
-            total += self
-                .link
-                .path_term(path, &self.link.rx, &tx_state, &rx_state, tx_rx, 0.0)
-                .contribution(1.0);
-        }
+        // A reflective deployment's direct ray never touches the surface;
+        // the home link already carries it.
+        let total = self.link.sum_terms(scratch, &self.link.rx, 0.0, |path| {
+            (path.label != "direct").then_some(1.0)
+        });
         total * self.link.amp_scale(&self.link.rx)
     }
 
