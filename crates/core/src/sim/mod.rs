@@ -514,6 +514,17 @@ mod tests {
     /// FNV-1a over every per-tick decision and counter of a run, except
     /// `links_reprepared` and `wall_ms`.
     fn run_digest(report: &SimReport) -> u64 {
+        digest(report, true)
+    }
+
+    /// [`run_digest`] without the power and throughput float bits: what
+    /// the run *decided* (assignments, biases, duty, counters), which a
+    /// reassociated probe sum must leave unchanged.
+    fn decisions_digest(report: &SimReport) -> u64 {
+        digest(report, false)
+    }
+
+    fn digest(report: &SimReport, powers: bool) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |word: u64| {
             for byte in word.to_le_bytes() {
@@ -528,11 +539,13 @@ mod tests {
                 mix(bias.vx.0.to_bits());
                 mix(bias.vy.0.to_bits());
             }
-            for service in &tick.outcome.per_device {
-                mix(service.power_dbm.to_bits());
+            if powers {
+                for service in &tick.outcome.per_device {
+                    mix(service.power_dbm.to_bits());
+                }
+                mix(tick.served_min_power_dbm.to_bits());
+                mix(tick.served_throughput_bits_hz.to_bits());
             }
-            mix(tick.served_min_power_dbm.to_bits());
-            mix(tick.served_throughput_bits_hz.to_bits());
             tick.panel_duty.iter().for_each(|d| mix(d.to_bits()));
             for count in [
                 tick.outcome.probes,
@@ -584,6 +597,7 @@ mod tests {
             }),
             "some tick runs two re-homing rules"
         );
+        assert_eq!(decisions_digest(&report), 0xa4bd_94ee_138a_91fe);
         assert_eq!(run_digest(&report), 0x2dac_ff11_7c99_9593);
     }
 
