@@ -278,11 +278,6 @@ pub struct FleetEvaluator {
     /// every probe: the search still commands any bias, but the physics
     /// answers as the broken panel would. `None` = healthy.
     fault: Option<crate::faults::BiasFault>,
-    /// Churn-baseline switch: [`FleetEvaluator::powers_dbm`] probes
-    /// through the allocating [`PreparedLink::received_dbm_with`]
-    /// instead of a reused path scratch. Set only by the mobility
-    /// simulator's churn baseline.
-    reference_batch: bool,
 }
 
 impl FleetEvaluator {
@@ -311,16 +306,7 @@ impl FleetEvaluator {
             plan_of,
             v_max: SUPPLY_CEILING,
             fault: None,
-            reference_batch: false,
         }
-    }
-
-    /// Churn-baseline switch: `true` makes [`FleetEvaluator::powers_dbm`]
-    /// use the allocating [`PreparedLink::received_dbm_with`] probe, the
-    /// path the scratch probe replaced. Results are bitwise identical
-    /// either way.
-    pub(crate) fn set_reference_batch(&mut self, on: bool) {
-        self.reference_batch = on;
     }
 
     /// Installs (or clears) a stuck/clamped unit-cell column defect.
@@ -388,23 +374,10 @@ impl FleetEvaluator {
             .iter()
             .map(|p| p.surface_response(bias))
             .collect();
-        if self.reference_batch {
-            // Baseline arm: the pre-optimization allocating probe.
-            return self
-                .links
-                .iter()
-                .zip(&self.plan_of)
-                .map(|(link, &k)| link.received_dbm_with(Some(&responses[k])).0)
-                .collect();
-        }
-        let mut scratch = Vec::new();
         self.links
             .iter()
             .zip(&self.plan_of)
-            .map(|(link, &k)| {
-                link.received_dbm_scratch(Some(&responses[k]), &mut scratch)
-                    .0
-            })
+            .map(|(link, &k)| link.received_dbm_with(Some(&responses[k])).0)
             .collect()
     }
 
@@ -442,20 +415,16 @@ impl FleetEvaluator {
             rfmath::par::available_threads()
         };
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); n];
-        // Chunked fan-out so each worker keeps one path scratch buffer
-        // across its whole range of biases: zero per-probe allocation.
+        // Chunked fan-out over biases; a probe cell is a handful of
+        // complex multiply-adds and allocates nothing.
         rfmath::par::par_fill_chunked(&mut out, threads, |offset, chunk| {
-            let mut scratch = Vec::new();
             for (j, slot) in chunk.iter_mut().enumerate() {
                 let b = offset + j;
-                let mut row = Vec::with_capacity(links.len());
-                for (link, &k) in links.iter().zip(plan_of) {
-                    row.push(
-                        link.received_dbm_scratch(Some(&responses[k][b]), &mut scratch)
-                            .0,
-                    );
-                }
-                *slot = row;
+                *slot = links
+                    .iter()
+                    .zip(plan_of)
+                    .map(|(link, &k)| link.received_dbm_with(Some(&responses[k][b])).0)
+                    .collect();
             }
         });
         out

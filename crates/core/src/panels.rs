@@ -71,7 +71,7 @@ use metasurface::response::SurfaceResponse;
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
 use propagation::coupling::{CouplingConfig, MultiSurfaceField};
 use propagation::link::PreparedLink;
-use propagation::rays::{Deployment, Path};
+use propagation::rays::Deployment;
 use rfmath::complex::Complex;
 use rfmath::units::{Degrees, Seconds, Watts};
 use rfmath::vec2::Point2;
@@ -357,7 +357,6 @@ impl PanelArray {
         let k = self.panels.len();
         let capacity = n.div_ceil(k);
         let probes = ReferenceProbes::new(fleet, self, caches);
-        let mut scratch = Vec::new();
         // Score every device against every panel up front (no capacity
         // pruning here — pruning while scanning would make the scores
         // depend on processing order).
@@ -367,7 +366,7 @@ impl PanelArray {
             // (panel index, reference power, mount-to-sector distance).
             let mut scored: Vec<(usize, f64, f64)> = Vec::with_capacity(k);
             for (idx, panel) in self.panels.iter().enumerate() {
-                let power = probes.power(d, idx, Some(&mut scratch));
+                let power = probes.power(d, idx);
                 let sector = axis_distance_deg(mount, panel.sector_center);
                 scored.push((idx, power, sector));
             }
@@ -534,29 +533,19 @@ impl ReferenceProbes {
     }
 
     /// Device `d`'s received power through panel `k` at the reference
-    /// bias, dBm. With a `scratch` the probe reuses its path buffer;
-    /// `None` takes the allocating [`PreparedLink::received_dbm_with`]
-    /// (bitwise the same power).
-    pub(crate) fn power(&self, d: usize, k: usize, scratch: Option<&mut Vec<Path>>) -> f64 {
+    /// bias, dBm.
+    pub(crate) fn power(&self, d: usize, k: usize) -> f64 {
         let response = Some(&self.responses[k][self.carrier_of[d]]);
-        match scratch {
-            Some(scratch) => self.links[d][k].received_dbm_scratch(response, scratch).0,
-            None => self.links[d][k].received_dbm_with(response).0,
-        }
+        self.links[d][k].received_dbm_with(response).0
     }
 
     /// The first panel passing `eligible` with the highest reference
     /// power for device `d`, and that power; `None` when no eligible
     /// panel measures above `-∞`.
-    pub(crate) fn best(
-        &self,
-        d: usize,
-        eligible: impl Fn(usize) -> bool,
-        mut scratch: Option<&mut Vec<Path>>,
-    ) -> Option<(usize, f64)> {
+    pub(crate) fn best(&self, d: usize, eligible: impl Fn(usize) -> bool) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for k in (0..self.responses.len()).filter(|&k| eligible(k)) {
-            let p = self.power(d, k, scratch.as_deref_mut());
+            let p = self.power(d, k);
             if p > best.map_or(f64::NEG_INFINITY, |(_, b)| b) {
                 best = Some((k, p));
             }
@@ -1120,7 +1109,6 @@ pub struct CoupledEvaluator {
     coupling: CouplingConfig,
     /// `responses[k][c]`, refilled per bias vector.
     responses: Vec<Vec<SurfaceResponse>>,
-    scratch: Vec<Path>,
 }
 
 impl CoupledEvaluator {
@@ -1192,7 +1180,6 @@ impl CoupledEvaluator {
             plans,
             coupling,
             responses,
-            scratch: Vec::new(),
         }
     }
 
@@ -1224,22 +1211,17 @@ impl CoupledEvaluator {
     /// Device `d`'s superposed amplitude from the filled responses —
     /// the canonical association: home first, cross terms in panel
     /// order.
-    fn amplitude_of(&mut self, d: usize) -> Complex {
+    fn amplitude_of(&self, d: usize) -> Complex {
         let field = &self.fields[d];
         let c = self.carrier_of[d];
         let home = self.home_of[d];
-        let mut amp = field.home_amplitude(Some(&self.responses[home][c]), &mut self.scratch);
+        let mut amp = field.home_amplitude(Some(&self.responses[home][c]));
         if !self.coupling.is_disabled() {
             for k in 0..field.panel_count() {
                 if k == home {
                     continue;
                 }
-                amp += field.cross_amplitude(
-                    k,
-                    Some(&self.responses[k][c]),
-                    &self.coupling,
-                    &mut self.scratch,
-                );
+                amp += field.cross_amplitude(k, Some(&self.responses[k][c]), &self.coupling);
             }
         }
         amp
@@ -1276,8 +1258,7 @@ impl CoupledEvaluator {
             let amp = self.amplitude_of(d);
             let c = self.carrier_of[d];
             let home_idx = self.home_of[d];
-            let home = self.fields[d]
-                .home_amplitude(Some(&self.responses[home_idx][c]), &mut self.scratch);
+            let home = self.fields[d].home_amplitude(Some(&self.responses[home_idx][c]));
             cross += (amp - home).norm_sqr();
             total += amp.norm_sqr();
         }
@@ -1305,18 +1286,13 @@ impl CoupledEvaluator {
                 let mut amp = if home == swept {
                     Complex::ZERO
                 } else {
-                    field.home_amplitude(Some(&self.responses[home][c]), &mut self.scratch)
+                    field.home_amplitude(Some(&self.responses[home][c]))
                 };
                 for k in 0..field.panel_count() {
                     if k == home || k == swept {
                         continue;
                     }
-                    amp += field.cross_amplitude(
-                        k,
-                        Some(&self.responses[k][c]),
-                        &self.coupling,
-                        &mut self.scratch,
-                    );
+                    amp += field.cross_amplitude(k, Some(&self.responses[k][c]), &self.coupling);
                 }
                 amp
             })
@@ -1344,15 +1320,13 @@ impl CoupledEvaluator {
                 let c = self.carrier_of[d];
                 let home = self.home_of[d];
                 let amp = if home == swept {
-                    field.home_amplitude(Some(&self.responses[swept][c]), &mut self.scratch)
-                        + fixed[d]
+                    field.home_amplitude(Some(&self.responses[swept][c])) + fixed[d]
                 } else {
                     fixed[d]
                         + field.cross_amplitude(
                             swept,
                             Some(&self.responses[swept][c]),
                             &self.coupling,
-                            &mut self.scratch,
                         )
                 };
                 Watts(amp.norm_sqr()).to_dbm().0

@@ -66,7 +66,6 @@ use control::sweep::WarmConfig;
 use metasurface::evaluator::PlanCache;
 use metasurface::stack::BiasState;
 use propagation::capacity::duty_cycled_throughput;
-use propagation::rays::Path;
 use rfmath::units::{Dbm, Seconds};
 
 use crate::faults::FaultPlan;
@@ -128,12 +127,9 @@ pub struct SimConfig {
     /// Allocation-churn baseline for A/B benchmarking: when set, the
     /// warm engine rebinds reference links through the allocating
     /// [`PreparedLink::rebind`](propagation::link::PreparedLink::rebind)
-    /// instead of the in-place arena rebind, and probes handoff margins
-    /// and every panel evaluator's
-    /// [`FleetEvaluator::powers_dbm`] through the allocating
-    /// [`PreparedLink::received_dbm_with`](propagation::link::PreparedLink::received_dbm_with)
-    /// instead of a reused path scratch. The warm tick never runs a
-    /// batch kernel, so neither arm touches one. Results are
+    /// instead of the in-place arena rebind. That is the only
+    /// difference: every probe (handoff margins, panel evaluators) is
+    /// the same allocation-free `t = 0` probe in both arms. Results are
     /// bit-identical either way — only the steady-state allocation
     /// differs — which is exactly what makes it an honest baseline.
     pub churn_baseline: bool,
@@ -173,7 +169,7 @@ impl SimConfig {
 
     /// Selects the allocation-churn baseline (see
     /// [`SimConfig::churn_baseline`]). Benchmarks use this to measure
-    /// what the arena rebinds and scratch probes actually buy.
+    /// what the arena rebinds actually buy.
     pub fn with_churn_baseline(mut self, on: bool) -> Self {
         self.churn_baseline = on;
         self
@@ -369,14 +365,9 @@ impl Homes {
 /// The live panel with the highest reference power for device `d`:
 /// where fault recovery and revival re-home it. The all-panels-out
 /// guard leaves at least one live panel.
-fn best_live_panel(
-    reference: &ReferenceProbes,
-    d: usize,
-    outaged: &[bool],
-    scratch: &mut Vec<Path>,
-) -> usize {
+fn best_live_panel(reference: &ReferenceProbes, d: usize, outaged: &[bool]) -> usize {
     reference
-        .best(d, |k| !outaged[k], Some(scratch))
+        .best(d, |k| !outaged[k])
         .expect("at least one panel survives")
         .0
 }
@@ -627,7 +618,6 @@ impl MobilitySim {
         let mut is_dirty = vec![false; fleet.len()];
         let mut kinds: Vec<SearchKind> = Vec::with_capacity(array.len());
         let mut airtimes: Vec<f64> = Vec::with_capacity(array.len());
-        let mut probe_scratch: Vec<Path> = Vec::new();
         let recorder = &self.recorder;
         let traced = recorder.enabled();
         let mut prev_outaged = vec![false; array.len()];
@@ -687,8 +677,7 @@ impl MobilitySim {
                 // was served yet, so no handoff event is emitted.
                 for d in 0..fleet.len() {
                     if outaged[homes.assignment[d]] {
-                        homes.assignment[d] =
-                            best_live_panel(&reference, d, &outaged, &mut probe_scratch);
+                        homes.assignment[d] = best_live_panel(&reference, d, &outaged);
                         reassignments += 1;
                     }
                 }
@@ -717,7 +706,7 @@ impl MobilitySim {
             if i > 0 && outaged_panels > 0 {
                 for d in 0..fleet.len() {
                     if outaged[homes.assignment[d]] {
-                        let target = best_live_panel(&reference, d, &outaged, &mut probe_scratch);
+                        let target = best_live_panel(&reference, d, &outaged);
                         homes.rehome(d, target, &mut reassignments, recorder);
                     }
                 }
@@ -753,7 +742,7 @@ impl MobilitySim {
                             // Fault recovery above already re-homed it.
                             continue;
                         }
-                        let target = best_live_panel(&reference, d, &outaged, &mut probe_scratch);
+                        let target = best_live_panel(&reference, d, &outaged);
                         if target != cur && healed.contains(&target) {
                             homes.rehome(d, target, &mut revivals, recorder);
                         }
@@ -780,11 +769,9 @@ impl MobilitySim {
                         homes.streaks[d] = (cur, 0);
                         continue;
                     }
-                    // The churn baseline keeps the allocating probe.
-                    let mut scratch = (!churn).then_some(&mut probe_scratch);
-                    let cur_power = reference.power(d, cur, scratch.as_deref_mut());
+                    let cur_power = reference.power(d, cur);
                     let (preferred, best) = reference
-                        .best(d, |k| k != cur && !outaged[k], scratch)
+                        .best(d, |k| k != cur && !outaged[k])
                         .unwrap_or((cur, f64::NEG_INFINITY));
                     if preferred != cur && best - cur_power > self.config.handoff.hysteresis_db {
                         let streak = &mut homes.streaks[d];
@@ -813,7 +800,6 @@ impl MobilitySim {
                     &mut states,
                     &homes.marked,
                     &self.faults,
-                    churn,
                 );
                 homes.marked.fill(false);
             }
@@ -1003,7 +989,6 @@ impl MobilitySim {
         states: &mut [PanelState],
         marked: &[bool],
         faults: &FaultPlan,
-        churn_baseline: bool,
     ) -> usize {
         let mut reprepared = 0usize;
         let subfleets = array.subfleets(fleet, assignment).into_iter();
@@ -1014,7 +999,6 @@ impl MobilitySim {
             } else {
                 let cache = PanelArray::cache_for(caches, &array.panels()[k].design);
                 let mut evaluator = FleetEvaluator::with_plan_cache(&subfleet, cache);
-                evaluator.set_reference_batch(churn_baseline);
                 // Dead unit-cell columns are a property of the panel
                 // hardware, not the sub-fleet: mask them into every
                 // evaluator built for this panel so Algorithm 1

@@ -598,7 +598,7 @@ mod tests {
             "some tick runs two re-homing rules"
         );
         assert_eq!(decisions_digest(&report), 0xa4bd_94ee_138a_91fe);
-        assert_eq!(run_digest(&report), 0x2dac_ff11_7c99_9593);
+        assert_eq!(run_digest(&report), 0x8635_ca2c_00f8_3bd6);
     }
 
     #[test]

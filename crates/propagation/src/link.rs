@@ -10,14 +10,22 @@
 //! ```text
 //! a_rx = √(Ptx·Gtx·Grx) · Σ_paths  t_path · ⟨rx_pol | J_path | tx_pol⟩
 //! ```
+//!
+//! [`Link`] evaluates that sum path by path and is the reference. A
+//! [`PreparedLink`] caches everything that does not depend on the
+//! surface bias, so its `t = 0` probe is a bilinear form in the
+//! surface's Jones blocks.
 
 use metasurface::response::{Metasurface, SurfaceResponse};
 use rfmath::complex::Complex;
+use rfmath::jones::JonesMatrix;
 use rfmath::units::{Dbm, Hertz, Seconds, Watts};
 
 use crate::antenna::OrientedAntenna;
 use crate::environment::{Environment, ScatterDraw};
-use crate::rays::{engineered_paths, engineered_paths_into, Deployment, Path, SurfaceMount};
+use crate::rays::{
+    engineered_legs, engineered_paths, engineered_paths_into, Deployment, Path, SurfaceMount, Via,
+};
 
 /// Calibration knobs of the link model — the parameters the Figure 20
 /// fidelity sweep (`expts --calibrate-fig20`) explores. Defaults
@@ -131,6 +139,22 @@ impl Link {
     ) -> Complex {
         let paths = self.paths_with(surface);
         self.project_onto(&paths, surface, &self.rx, t)
+    }
+
+    /// The surface-scattered part of [`Link::received_amplitude_with`]
+    /// at `t = 0`, path by path: the engineered paths that touch the
+    /// surface, unshadowed. The reference for
+    /// [`PreparedLink::scattered_amplitude`].
+    pub fn scattered_amplitude_with(&self, surface: Option<&SurfaceResponse>) -> Complex {
+        let Some(surface) = surface else {
+            return Complex::ZERO;
+        };
+        let paths = engineered_paths(self.deployment, Some(surface), self.frequency);
+        // A reflective deployment's direct ray never touches the surface.
+        let total = self.sum_terms(&paths, &self.rx, 0.0, |path| {
+            (path.label != "direct").then_some(1.0)
+        });
+        total * self.amp_scale(&self.rx)
     }
 
     /// Per-receiver powers in dBm at `t = 0` for several receive mounts
@@ -304,11 +328,10 @@ impl Link {
     }
 }
 
-/// One path's precomputed projection onto a fixed receive mount: the
-/// complex transfer × polarization coupling (`k`), the scalar
-/// pattern/loss penalty (`pen`), and whether the bias-dependent
-/// transmissive shadow multiplies in. Summing contributions in path
-/// order is bit-identical to projecting the paths directly.
+/// One path's projection onto a fixed receive mount: the complex
+/// transfer × polarization coupling (`k`), the scalar pattern/loss
+/// penalty (`pen`), and whether the bias-dependent transmissive shadow
+/// multiplies in.
 #[derive(Clone, Copy, Debug)]
 struct ProjTerm {
     k: Complex,
@@ -318,8 +341,7 @@ struct ProjTerm {
 
 impl ProjTerm {
     /// The term's amplitude contribution under the probe's shadow
-    /// factor. Replicates the direct projection's operation order
-    /// exactly: `(transfer × coupled) × ((tx_pen × rx_pen) × shadow)`.
+    /// factor: `(transfer × coupled) × ((tx_pen × rx_pen) × shadow)`.
     fn contribution(&self, shadow: f64) -> Complex {
         let factor = if self.shadowed {
             self.pen * shadow
@@ -330,23 +352,170 @@ impl ProjTerm {
     }
 }
 
-/// A link with its bias-independent paths precomputed: the fleet
+/// `10^(−1.5)`: the −30 dB floor of the transmissive shadow as an
+/// amplitude.
+const SHADOW_FLOOR_AMP: f64 = 0.031_622_776_601_683_79;
+
+/// A link's `t = 0` probe as a bilinear form in the surface's Jones
+/// blocks.
+///
+/// A path's projection `rx† · J · tx` is linear in the four entries of
+/// `J`, and for a fixed link only the surface's transmission block `T`
+/// and reflection block `R` depend on the bias. So everything else is
+/// folded into constants once per (re)bind, and a probe is:
+///
+/// ```text
+/// transmissive: w_main·T + w_bounce·(T·R) + plain + shadowed·shadow(T)
+/// reflective:   direct + w_fold·R + plain + shadowed
+/// no surface:   direct + plain + shadowed
+/// ```
+///
+/// each times the boresight scale, where `w·J = Σ_ij w_ij·J_ij` with
+/// `w_ij = conj(rx_i)·tx_j` pre-scaled by the path's transfer and
+/// loss penalty (the fold's weights also absorb the mirror frame flip),
+/// `plain` and `shadowed` are the static scatter-and-extras sums outside
+/// and inside the panel's shadow, and the shadow is the panel's mean
+/// Eq. 11 through-loss as an amplitude. The form reorders the per-path
+/// sum, so it agrees with [`Link::received_amplitude_with`] to rounding,
+/// not bit for bit; every `t = 0` probe of a [`PreparedLink`] evaluates
+/// it, so those agree with each other bit for bit.
+#[derive(Clone, Copy, Debug)]
+struct ProbeForm {
+    /// The through-surface weights of a transmissive mount, or the fold
+    /// weights of a reflective one, row-major over the Jones block.
+    surface: [Complex; 4],
+    /// The antenna-surface bounce weights (transmissive mounts only).
+    bounce: [Complex; 4],
+    /// The direct ray's term: the whole engineered field without a
+    /// surface response, and the unsurfaced ray of a reflective mount.
+    direct: Complex,
+    /// Static terms outside the panel's shadow, summed.
+    plain: Complex,
+    /// Near-axis scatter a transmissive panel shadows, summed.
+    shadowed: Complex,
+    /// `10^(−shadow_extra_db/20)`: the tuning's extra shadow loss.
+    shadow_extra: f64,
+    /// The boresight scale [`Link::amp_scale`] of the bound receiver.
+    amp_scale: f64,
+}
+
+impl ProbeForm {
+    /// Folds every bias-independent factor of `link`'s `t = 0` probe,
+    /// with `static_paths` its cached scatter and extras.
+    fn new(link: &Link, static_paths: &[Path]) -> Self {
+        let tx_state = link.tx.polarization();
+        let rx_state = link.rx.polarization();
+        let (tx, rx) = (tx_state.0, rx_state.0);
+        let weights = |rx: rfmath::Vec2, scale: Complex| {
+            [
+                rx.x.conj() * tx.x * scale,
+                rx.x.conj() * tx.y * scale,
+                rx.y.conj() * tx.x * scale,
+                rx.y.conj() * tx.y * scale,
+            ]
+        };
+        let mut form = ProbeForm {
+            surface: [Complex::ZERO; 4],
+            bounce: [Complex::ZERO; 4],
+            direct: Complex::ZERO,
+            plain: Complex::ZERO,
+            shadowed: Complex::ZERO,
+            shadow_extra: 10f64.powf(-link.tuning.shadow_extra_db / 20.0),
+            amp_scale: link.amp_scale(&link.rx),
+        };
+        // The surfaced legs, then the unsurfaced ones: every mount's
+        // direct ray (a reflective mount's appears in both).
+        let legs = |surfaced| engineered_legs(link.deployment, surfaced, link.frequency);
+        for (path, via) in legs(true).into_iter().chain(legs(false)).flatten() {
+            let scale = path.transfer * link.tuning.surface_loss_amp(path.label);
+            match via {
+                Via::Free => form.direct = rx.dot(tx) * scale,
+                Via::Through => form.surface = weights(rx, scale),
+                Via::Bounce => form.bounce = weights(rx, scale),
+                Via::Fold => {
+                    form.surface = weights(JonesMatrix::mirror_x().apply(rx_state).0, scale)
+                }
+            }
+        }
+        let tx_rx = link.deployment.tx_rx_distance().0;
+        for path in static_paths {
+            let term = link.path_term(path, &link.rx, &tx_state, &rx_state, tx_rx, 0.0);
+            let sum = if term.shadowed {
+                &mut form.shadowed
+            } else {
+                &mut form.plain
+            };
+            *sum += term.contribution(1.0);
+        }
+        form
+    }
+
+    /// The receive-port amplitude under one surface response.
+    fn amplitude(&self, mount: SurfaceMount, surface: Option<&SurfaceResponse>) -> Complex {
+        let total = match (mount, surface) {
+            (SurfaceMount::Transmissive { .. }, Some(surface)) => {
+                let t = surface.transmission().0;
+                let r = surface.reflection().0;
+                // Eq. 11 efficiencies as linear ratios: the mean of their
+                // dB values, as an amplitude, is (e_x·e_y)^¼.
+                let e_x = t.a.norm_sqr() + t.c.norm_sqr();
+                let e_y = t.b.norm_sqr() + t.d.norm_sqr();
+                let shadow = (e_x * e_y).sqrt().sqrt().max(SHADOW_FLOOR_AMP) * self.shadow_extra;
+                bilinear(&self.surface, t)
+                    + bilinear(&self.bounce, t * r)
+                    + self.plain
+                    + self.shadowed * shadow
+            }
+            (SurfaceMount::Reflective { .. }, Some(surface)) => {
+                self.direct
+                    + bilinear(&self.surface, surface.reflection().0)
+                    + self.plain
+                    + self.shadowed
+            }
+            _ => self.direct + self.plain + self.shadowed,
+        };
+        total * self.amp_scale
+    }
+
+    /// The surface-scattered part of [`ProbeForm::amplitude`]: the
+    /// engineered paths that touch the surface, unshadowed.
+    fn scattered(&self, mount: SurfaceMount, surface: &SurfaceResponse) -> Complex {
+        let total = match mount {
+            SurfaceMount::Transmissive { .. } => {
+                let t = surface.transmission().0;
+                bilinear(&self.surface, t) + bilinear(&self.bounce, t * surface.reflection().0)
+            }
+            SurfaceMount::Reflective { .. } => bilinear(&self.surface, surface.reflection().0),
+            SurfaceMount::None => return Complex::ZERO,
+        };
+        total * self.amp_scale
+    }
+}
+
+/// `Σ_ij w_ij·J_ij` over a row-major Jones block.
+#[inline]
+fn bilinear(w: &[Complex; 4], j: rfmath::Mat2) -> Complex {
+    w[0] * j.a + w[1] * j.b + w[2] * j.c + w[3] * j.d
+}
+
+/// A link with its bias-independent parts precomputed: the fleet
 /// engine's per-device probe handle.
 ///
 /// Environment scatter and caller-injected extras never change across a
 /// bias sweep, so a fleet scheduler probing hundreds of bias states pays
 /// the scatter realization (RNG draws + allocation) once per device
-/// instead of once per `(device, bias)` probe. Only the one or two
-/// engineered paths are rebuilt per probe, against the surface response
-/// the shared evaluation plan already produced. On top of the cached
-/// paths, the `t = 0` projection *terms* of the static set are
-/// precomputed too — only the bias-dependent shadow factor and the
-/// engineered paths are evaluated per probe in the scratch fast path.
+/// instead of once per `(device, bias)` probe. On top of the cached
+/// paths, every bias-independent factor of the `t = 0` probe is folded
+/// into a bilinear form in the surface's Jones blocks, at construction
+/// and on every rebind. A power probe then builds no path and calls no
+/// trigonometry, log or pow: it is a dozen complex multiply-adds.
+/// Time-series probes (`t ≠ 0`) rebuild the engineered paths and
+/// project every path, like [`Link`].
 #[derive(Clone, Debug)]
 pub struct PreparedLink {
     link: Link,
     static_paths: Vec<Path>,
-    static_terms: Vec<ProjTerm>,
+    form: ProbeForm,
     scatter_draws: Vec<ScatterDraw>,
 }
 
@@ -362,36 +531,18 @@ impl PreparedLink {
             &mut static_paths,
         );
         static_paths.extend(link.extra_paths.iter().cloned());
-        let mut prepared = Self {
-            link,
-            static_paths,
-            static_terms: Vec::new(),
-            scatter_draws,
-        };
-        prepared.rebuild_static_terms();
-        prepared
+        Self::from_parts(link, static_paths, scatter_draws)
     }
 
-    /// Re-derives the cached `t = 0` projection terms from the current
-    /// link and static paths. Reuses the term vector's storage, so the
-    /// steady-state rebind path stays allocation-free once the capacity
-    /// has grown to the path-set size.
-    fn rebuild_static_terms(&mut self) {
-        let Self {
+    /// Binds `link` to its cached static paths and folds its probe form.
+    fn from_parts(link: Link, static_paths: Vec<Path>, scatter_draws: Vec<ScatterDraw>) -> Self {
+        let form = ProbeForm::new(&link, &static_paths);
+        Self {
             link,
             static_paths,
-            static_terms,
-            ..
-        } = self;
-        let tx_state = link.tx.polarization();
-        let rx_state = link.rx.polarization();
-        let tx_rx = link.deployment.tx_rx_distance().0;
-        static_terms.clear();
-        static_terms.extend(
-            static_paths
-                .iter()
-                .map(|path| link.path_term(path, &link.rx, &tx_state, &rx_state, tx_rx, 0.0)),
-        );
+            form,
+            scatter_draws,
+        }
     }
 
     /// The underlying link.
@@ -404,8 +555,8 @@ impl PreparedLink {
     /// per-panel probe handle of a panel array. Valid because the static
     /// paths (environment scatter + extras) depend only on the endpoint
     /// separation, which panel re-mounting never changes; only the one
-    /// or two engineered surface paths move, and those are rebuilt per
-    /// probe anyway.
+    /// or two engineered surface paths move, and the probe form is
+    /// re-folded for them.
     ///
     /// # Panics
     /// Panics if `deployment` changes the endpoint separation — that
@@ -420,14 +571,7 @@ impl PreparedLink {
         );
         let mut link = self.link.clone();
         link.deployment = deployment;
-        let mut prepared = Self {
-            link,
-            static_paths: self.static_paths.clone(),
-            static_terms: Vec::new(),
-            scatter_draws: self.scatter_draws.clone(),
-        };
-        prepared.rebuild_static_terms();
-        prepared
+        Self::from_parts(link, self.static_paths.clone(), self.scatter_draws.clone())
     }
 
     /// True when `link`'s bias-independent paths are bit-identical to
@@ -458,14 +602,7 @@ impl PreparedLink {
     /// mobility simulator's per-device update path.
     pub fn rebind(&self, link: Link) -> Self {
         if self.static_paths_reusable(&link) {
-            let mut prepared = Self {
-                link,
-                static_paths: self.static_paths.clone(),
-                static_terms: Vec::new(),
-                scatter_draws: self.scatter_draws.clone(),
-            };
-            prepared.rebuild_static_terms();
-            prepared
+            Self::from_parts(link, self.static_paths.clone(), self.scatter_draws.clone())
         } else {
             Self::new(link)
         }
@@ -516,9 +653,9 @@ impl PreparedLink {
         }
         self.link = link;
         // Rotation, power and re-mounting all perturb the projection
-        // geometry even when the ray set survives, so the term table is
-        // always re-derived (in place — its storage is reused).
-        self.rebuild_static_terms();
+        // geometry even when the ray set survives, so the probe form is
+        // always re-folded.
+        self.form = ProbeForm::new(&self.link, &self.static_paths);
     }
 
     /// Full path set against a precomputed surface response (engineered
@@ -539,28 +676,40 @@ impl PreparedLink {
         out.extend_from_slice(&self.static_paths);
     }
 
+    /// The `t = 0` probe: the bound [`ProbeForm`] under one response.
+    fn probe(&self, surface: Option<&SurfaceResponse>) -> Complex {
+        if let Some(surface) = surface {
+            debug_assert!(
+                surface.frequency().0.to_bits() == self.link.frequency.0.to_bits(),
+                "surface response evaluated at {:?} but the link carrier is {:?}",
+                surface.frequency(),
+                self.link.frequency
+            );
+        }
+        self.form.amplitude(self.link.deployment.surface, surface)
+    }
+
     /// Receive-port amplitude at time `t`; equals
-    /// [`Link::received_amplitude_with`] on the wrapped link.
+    /// [`Link::received_amplitude_with`] on the wrapped link — bit for
+    /// bit at `t ≠ 0` (every path projected), to rounding at `t = 0`
+    /// (the cached bilinear form, which allocates nothing).
     pub fn received_amplitude_with(
         &self,
         surface: Option<&SurfaceResponse>,
         t: Seconds,
     ) -> Complex {
-        let paths = self.paths_with(surface);
-        self.link.project_onto(&paths, surface, &self.link.rx, t)
+        if t.0 != 0.0 {
+            let paths = self.paths_with(surface);
+            return self.link.project_onto(&paths, surface, &self.link.rx, t);
+        }
+        self.probe(surface)
     }
 
     /// [`PreparedLink::received_amplitude_with`] against a reusable
-    /// scratch buffer — the allocation-free probe loop: a caller
-    /// evaluating N devices × B biases keeps one `Vec<Path>` per worker
-    /// and pays zero heap traffic per probe. Bitwise equal to the
-    /// allocating variant.
-    ///
-    /// At `t = 0` (every power probe) only the engineered paths are
-    /// projected in full; the static tail is summed from cached
-    /// projection terms — same contributions in the same order, so the
-    /// result is still bit-identical, at a fraction of the per-probe
-    /// trigonometry.
+    /// scratch buffer: a time-series caller probing many instants keeps
+    /// one `Vec<Path>` and pays no heap traffic per sample. At `t = 0`
+    /// the buffer is not touched. Bitwise equal to the allocating
+    /// variant.
     pub fn received_amplitude_scratch(
         &self,
         surface: Option<&SurfaceResponse>,
@@ -568,26 +717,15 @@ impl PreparedLink {
         scratch: &mut Vec<Path>,
     ) -> Complex {
         if t.0 != 0.0 {
-            // The term cache is a t = 0 snapshot; time-series callers
-            // take the direct projection.
             self.paths_into(surface, scratch);
             return self.link.project_onto(scratch, surface, &self.link.rx, t);
         }
-        scratch.clear();
-        engineered_paths_into(self.link.deployment, surface, self.link.frequency, scratch);
-        let shadow = self.link.shadow_factor(surface);
-        let mut total = self
-            .link
-            .sum_terms(scratch, &self.link.rx, 0.0, |_| Some(shadow));
-        for term in &self.static_terms {
-            total += term.contribution(shadow);
-        }
-        total * self.link.amp_scale(&self.link.rx)
+        self.probe(surface)
     }
 
     /// The *surface-scattered* part of the receive-port amplitude at
     /// `t = 0`: only the engineered paths that interact with the
-    /// deployed surface are projected. The bias-independent static tail
+    /// deployed surface count. The bias-independent static tail
     /// (environment scatter, caller extras) and a reflective
     /// deployment's direct free-space ray are excluded, and no
     /// transmissive shadow applies — the shadow models what the *home*
@@ -600,50 +738,28 @@ impl PreparedLink {
     /// link's full amplitude with each extra panel's scattered term, so
     /// direct and environment energy are never double-counted. `None`
     /// (panel dark / no response) yields exactly `Complex::ZERO`.
-    pub fn scattered_amplitude_scratch(
-        &self,
-        surface: Option<&SurfaceResponse>,
-        scratch: &mut Vec<Path>,
-    ) -> Complex {
-        let Some(surface) = surface else {
-            return Complex::ZERO;
-        };
-        scratch.clear();
-        engineered_paths_into(
-            self.link.deployment,
-            Some(surface),
-            self.link.frequency,
-            scratch,
-        );
-        // A reflective deployment's direct ray never touches the surface;
-        // the home link already carries it.
-        let total = self.link.sum_terms(scratch, &self.link.rx, 0.0, |path| {
-            (path.label != "direct").then_some(1.0)
-        });
-        total * self.link.amp_scale(&self.link.rx)
+    pub fn scattered_amplitude(&self, surface: Option<&SurfaceResponse>) -> Complex {
+        match surface {
+            Some(surface) => self.form.scattered(self.link.deployment.surface, surface),
+            None => Complex::ZERO,
+        }
     }
 
-    /// Received power in dBm at `t = 0` against a reusable scratch
-    /// buffer; bitwise equal to [`PreparedLink::received_dbm_with`].
+    /// Received power in dBm at `t = 0`; bitwise equal to
+    /// [`PreparedLink::received_dbm_with`]. The scratch buffer is not
+    /// touched (a `t = 0` probe builds no path); the parameter stays for
+    /// callers that hold one across mixed probes.
     pub fn received_dbm_scratch(
         &self,
         surface: Option<&SurfaceResponse>,
-        scratch: &mut Vec<Path>,
+        _scratch: &mut Vec<Path>,
     ) -> Dbm {
-        Watts(
-            self.received_amplitude_scratch(surface, Seconds(0.0), scratch)
-                .norm_sqr(),
-        )
-        .to_dbm()
+        self.received_dbm_with(surface)
     }
 
     /// Received power in dBm at `t = 0`.
     pub fn received_dbm_with(&self, surface: Option<&SurfaceResponse>) -> Dbm {
-        Watts(
-            self.received_amplitude_with(surface, Seconds(0.0))
-                .norm_sqr(),
-        )
-        .to_dbm()
+        Watts(self.probe(surface).norm_sqr()).to_dbm()
     }
 
     /// Per-receiver powers for several mounts sharing this link's
@@ -958,8 +1074,7 @@ mod tests {
         let mut link = base_link(40.0);
         link.environment = Environment::laboratory(31);
         let prepared = PreparedLink::new(link);
-        let mut scratch = Vec::new();
-        let amp = prepared.scattered_amplitude_scratch(None, &mut scratch);
+        let amp = prepared.scattered_amplitude(None);
         assert_eq!(amp.re.to_bits(), 0.0f64.to_bits());
         assert_eq!(amp.im.to_bits(), 0.0f64.to_bits());
     }
@@ -974,9 +1089,8 @@ mod tests {
         busy.environment = Environment::laboratory(13);
         let surface = Metasurface::llama();
         let response = surface.response(clean.frequency);
-        let mut scratch = Vec::new();
-        let a = PreparedLink::new(clean).scattered_amplitude_scratch(Some(&response), &mut scratch);
-        let b = PreparedLink::new(busy).scattered_amplitude_scratch(Some(&response), &mut scratch);
+        let a = PreparedLink::new(clean).scattered_amplitude(Some(&response));
+        let b = PreparedLink::new(busy).scattered_amplitude(Some(&response));
         assert_eq!(a.re.to_bits(), b.re.to_bits());
         assert_eq!(a.im.to_bits(), b.im.to_bits());
     }
@@ -991,10 +1105,9 @@ mod tests {
         let surface = Metasurface::llama();
         let response = surface.response(link.frequency);
         let prepared = PreparedLink::new(link.clone());
-        let mut scratch = Vec::new();
         let full = prepared.received_amplitude_with(Some(&response), Seconds(0.0));
         let direct = prepared.received_amplitude_with(None, Seconds(0.0));
-        let scattered = prepared.scattered_amplitude_scratch(Some(&response), &mut scratch);
+        let scattered = prepared.scattered_amplitude(Some(&response));
         let resid = full - (direct + scattered);
         assert!(
             resid.abs() < 1e-15,

@@ -405,60 +405,96 @@ pub fn engineered_paths_into(
             surface.frequency()
         );
     }
-    let tx_rx = deployment.tx_rx_distance();
-    match (deployment.surface, surface) {
-        (SurfaceMount::None, _)
-        | (SurfaceMount::Transmissive { .. }, None)
-        | (SurfaceMount::Reflective { .. }, None) => {
-            out.push(Path {
-                transfer: field_transfer(f, tx_rx),
-                jones: JonesMatrix::identity(),
-                length: tx_rx,
-                modulation: None,
-                label: "direct",
-            });
+    for (mut path, via) in engineered_legs(deployment, surface.is_some(), f)
+        .into_iter()
+        .flatten()
+    {
+        if let Some(surface) = surface {
+            path.jones = via.jones(surface);
         }
-        (SurfaceMount::Transmissive { position }, Some(surface)) => {
+        out.push(path);
+    }
+}
+
+/// Which bias-dependent Jones block an engineered path carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Via {
+    /// No surface interaction: the identity.
+    Free,
+    /// Once through the surface: the transmission block `T`.
+    Through,
+    /// Through after one surface→antenna→surface bounce: `T·R`, with
+    /// `R` the front-face reflection block.
+    Bounce,
+    /// Specular fold off the front face, in the receiver's frame:
+    /// `mirror_x·R`.
+    Fold,
+}
+
+impl Via {
+    /// This path's Jones matrix under one surface response.
+    pub(crate) fn jones(self, surface: &SurfaceResponse) -> JonesMatrix {
+        match self {
+            Via::Free => JonesMatrix::identity(),
+            Via::Through => surface.transmission(),
+            Via::Bounce => surface.transmission() * surface.reflection(),
+            Via::Fold => JonesMatrix::mirror_x() * surface.reflection(),
+        }
+    }
+}
+
+/// The bias-independent skeleton of a deployment's engineered paths, in
+/// [`engineered_paths`] order: every path with its transfer, length and
+/// label, and the Jones block it picks up from the surface left
+/// symbolic (the paths' own `jones` is the identity). `surfaced` says
+/// whether a surface response is present; without one every mount
+/// keeps only the direct ray.
+pub(crate) fn engineered_legs(
+    deployment: Deployment,
+    surfaced: bool,
+    f: Hertz,
+) -> [Option<(Path, Via)>; 2] {
+    let tx_rx = deployment.tx_rx_distance();
+    let leg = |transfer: Complex, length: Meters, label: &'static str, via: Via| {
+        let path = Path {
+            transfer,
+            jones: JonesMatrix::identity(),
+            length,
+            modulation: None,
+            label,
+        };
+        Some((path, via))
+    };
+    // Direct endpoint-to-endpoint path (no surface interaction).
+    let direct = || leg(field_transfer(f, tx_rx), tx_rx, "direct", Via::Free);
+    match deployment.surface {
+        SurfaceMount::Transmissive { position } if surfaced => {
             // Tx→surface leg: sets the standing-wave round trip. For an
             // off-axis mount the panel aperture is foreshortened by the
             // illumination cosine (exactly 1 on the link line).
             let d1 = Meters(deployment.tx.distance(position));
             let obliquity = deployment.aperture_obliquity();
-            let trans = surface.transmission();
-            let refl = surface.reflection();
             // Main through-surface path.
-            let main = Path {
-                transfer: field_transfer(f, tx_rx) * obliquity,
-                jones: trans,
-                length: tx_rx,
-                modulation: None,
-                label: "through-surface",
-            };
+            let main = leg(
+                field_transfer(f, tx_rx) * obliquity,
+                tx_rx,
+                "through-surface",
+                Via::Through,
+            );
             // One surface→antenna→surface bounce: the wave reflected from
             // the surface front travels back 2·d1 (picking up the
             // antenna's re-scatter) and crosses again. This is the term
             // that drags the optimum bias with distance.
-            let bounce_scalar =
-                field_transfer(f, Meters(tx_rx.0 + 2.0 * d1.0)) * ANTENNA_RESCATTER * obliquity;
-            let bounce = Path {
-                transfer: bounce_scalar,
-                jones: trans * refl,
-                length: Meters(tx_rx.0 + 2.0 * d1.0),
-                modulation: None,
-                label: "antenna-surface bounce",
-            };
-            out.push(main);
-            out.push(bounce);
+            let bounce_len = Meters(tx_rx.0 + 2.0 * d1.0);
+            let bounce = leg(
+                field_transfer(f, bounce_len) * ANTENNA_RESCATTER * obliquity,
+                bounce_len,
+                "antenna-surface bounce",
+                Via::Bounce,
+            );
+            [main, bounce]
         }
-        (SurfaceMount::Reflective { position }, Some(surface)) => {
-            // Direct endpoint-to-endpoint path (no surface interaction).
-            let direct = Path {
-                transfer: field_transfer(f, tx_rx),
-                jones: JonesMatrix::identity(),
-                length: tx_rx,
-                modulation: None,
-                label: "direct",
-            };
+        SurfaceMount::Reflective { position } if surfaced => {
             // Specular fold: Tx → surface → Rx, image theory over the
             // coordinate-derived legs (for the legacy symmetric layout
             // this is exactly 2·√(d² + (sep/2)²)); the reflection
@@ -466,19 +502,16 @@ pub fn engineered_paths_into(
             // incident frame (mirror conjugation: the reflected wave's
             // frame flips handedness, which is the §5.2
             // rotation-cancellation mechanism as seen by the receiver).
-            let fold = deployment.tx.distance(position) + position.distance(deployment.rx);
-            let mirror = JonesMatrix::mirror_x();
-            let refl_in_rx_frame = mirror * surface.reflection();
-            let reflected = Path {
-                transfer: field_transfer(f, Meters(fold)),
-                jones: refl_in_rx_frame,
-                length: Meters(fold),
-                modulation: None,
-                label: "surface-reflection",
-            };
-            out.push(direct);
-            out.push(reflected);
+            let fold = Meters(deployment.tx.distance(position) + position.distance(deployment.rx));
+            let reflected = leg(
+                field_transfer(f, fold),
+                fold,
+                "surface-reflection",
+                Via::Fold,
+            );
+            [direct(), reflected]
         }
+        _ => [direct(), None],
     }
 }
 
