@@ -328,7 +328,7 @@ fn print_capacity(title: &str, study: &ex::CapacityStudy) -> String {
         &study.tx_mw,
     );
     match study.crossover_mw {
-        Some(mw) => out.push_str(&render::metric("surface wins from", mw, "mW")),
+        Some(mw) => out.push_str(&power_metric("surface wins from", mw)),
         None => out.push_str("surface never wins on this sweep\n"),
     }
     out
@@ -359,13 +359,21 @@ pub fn print_fig19() -> String {
         &ex::fig19_directional(SEED),
     ));
     if let Some(mw) = omni.crossover_mw {
-        out.push_str(&render::metric(
-            "omni multipath crossover (paper: ~2 mW)",
-            mw,
-            "mW",
-        ));
+        out.push_str(&power_metric("omni multipath crossover (paper: ~2 mW)", mw));
     }
     out
+}
+
+/// A Tx-power metric line in [`render::metric`]'s layout, but to three
+/// significant digits: the capacity sweeps start at 0.002 mW, which two
+/// fixed decimals would print as "0.00".
+fn power_metric(name: &str, mw: f64) -> String {
+    let decimals = if mw > 0.0 && mw.is_finite() {
+        (2 - mw.log10().floor() as i32).max(0) as usize
+    } else {
+        2
+    };
+    format!("{name:<44} {mw:>10.decimals$} mW\n")
 }
 
 /// Figure 20: IoT RSSI distributions with/without the surface.
@@ -516,6 +524,39 @@ mod tests {
         for id in ["fig2a", "fig2b", "table1", "alg1"] {
             let report = run(id).unwrap();
             assert!(report.len() > 100, "{id} report too small");
+        }
+    }
+
+    #[test]
+    fn power_metric_keeps_three_significant_digits() {
+        assert!(power_metric("x", 0.002).ends_with(" 0.00200 mW\n"));
+        assert!(power_metric("x", 2.0).ends_with(" 2.00 mW\n"));
+        assert!(power_metric("x", 1000.0).ends_with(" 1000 mW\n"));
+    }
+
+    #[test]
+    fn fig19_prints_its_crossovers_legibly() {
+        let text = print_fig19();
+        let crossovers: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("surface wins from") || l.starts_with("omni multipath"))
+            .collect();
+        // Each panel's own crossover, then the omni one again.
+        let omni = ex::fig19_omni(SEED).crossover_mw;
+        let directional = ex::fig19_directional(SEED).crossover_mw;
+        let expected: Vec<f64> = [omni, directional, omni].into_iter().flatten().collect();
+        assert_eq!(crossovers.len(), expected.len(), "{text}");
+        for (line, mw) in crossovers.iter().zip(expected) {
+            let printed: f64 = line
+                .trim_end_matches(" mW")
+                .split_whitespace()
+                .last()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no value in {line:?}"));
+            assert!(
+                (printed - mw).abs() <= 5e-3 * mw,
+                "{line:?} prints {printed}, crossover is {mw} mW"
+            );
         }
     }
 
