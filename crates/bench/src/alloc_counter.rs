@@ -1,7 +1,7 @@
 //! A counting global allocator for debug-assert builds.
 //!
-//! The PR-8 hot-loop work (arena-rebound [`propagation::link::PreparedLink`]s,
-//! scratch-buffer probes, the SoA batch kernel) is only verifiable if the
+//! The hot-loop work (arena-rebound [`propagation::link::PreparedLink`]s,
+//! allocation-free probes, the SoA batch kernel) is only verifiable if the
 //! repository can *count* allocations: "allocation-free" claimed in a doc
 //! comment regresses silently, a counter asserted in CI does not.
 //!

@@ -46,8 +46,8 @@ const ALLOC_MEASURED_TICKS: usize = 8;
 const ALLOC_KERNEL_DEVICES: usize = 8;
 
 /// Steady-state heap allocations per tick of a synthetic probe kernel:
-/// for each of `ALLOC_KERNEL_DEVICES` (8) devices, one scratch-buffer power
-/// probe ([`PreparedLink::received_dbm_scratch`]) plus a sweep of nine
+/// for each of `ALLOC_KERNEL_DEVICES` (8) devices, one `t = 0` power
+/// probe ([`PreparedLink::received_dbm_with`]) plus a sweep of nine
 /// biases through a compiled plan ([`StackEvaluator::response`]). This is
 /// *not* a [`MobilitySim`] tick: the real warm tick allocates (roombench
 /// reports it as `sim.allocs_per_tick`, ≈100–110 per tick). Measured on
@@ -70,13 +70,12 @@ fn measure_allocs_per_tick() -> Option<f64> {
     let plan = StackEvaluator::new(&design.stack, F);
     let response = SurfaceResponse::new(F, plan.response(BiasState::new(6.0, 6.0)));
     let link = PreparedLink::new(Scenario::transmissive_default().link());
-    let mut scratch = Vec::new();
     let biases: Vec<BiasState> = (0..9)
         .map(|i| BiasState::new(3.0 * (i % 3) as f64, 3.0 * (i / 3) as f64))
         .collect();
-    let mut tick = || {
+    let tick = || {
         for _ in 0..ALLOC_KERNEL_DEVICES {
-            std::hint::black_box(link.received_dbm_scratch(Some(&response), &mut scratch));
+            std::hint::black_box(link.received_dbm_with(Some(&response)));
             for &bias in &biases {
                 std::hint::black_box(plan.response(bias));
             }

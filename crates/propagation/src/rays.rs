@@ -417,7 +417,7 @@ pub fn engineered_paths_into(
 }
 
 /// Which bias-dependent Jones block an engineered path carries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum Via {
     /// No surface interaction: the identity.
     Free,
