@@ -248,8 +248,7 @@ impl Fleet {
     }
 
     /// The naive per-device reference loop: every device deploys its own
-    /// [`Metasurface`] and rebuilds its link per probe — exactly what
-    /// `multilink` did before the shared-plan engine. Kept as the
+    /// [`Metasurface`] and rebuilds its link per probe. Kept as the
     /// equivalence contract (batched == naive to 1e-12) and the perf
     /// baseline the CI smoke measures the engine against.
     pub fn naive_powers_matrix(&self, biases: &[BiasState]) -> Vec<Vec<f64>> {
@@ -766,7 +765,10 @@ impl Scheduler {
     fn run_time_division(&self, fleet: &Fleet, evaluator: &FleetEvaluator) -> FleetOutcome {
         let t = self.sweep.steps_per_axis.max(2);
         let n_dev = fleet.len();
-        let grid = |lo: f64, hi: f64, i: usize| lo + (hi - lo) * i as f64 / (t - 1) as f64;
+        // Capped at the window's upper edge, like the Algorithm 1 core:
+        // the top point `lo + (hi − lo)` can round past `hi`.
+        let grid =
+            |lo: f64, hi: f64, i: usize| (lo + (hi - lo) * i as f64 / (t - 1) as f64).min(hi);
 
         // Round 1: coarse grid over the full supply range.
         let mut biases: Vec<BiasState> = Vec::with_capacity(t * t);
@@ -866,6 +868,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use propagation::antenna::{Antenna, OrientedAntenna};
 
     fn small_fleet() -> Fleet {
         let mut fleet = Fleet::new(metasurface::designs::fr4_optimized());
@@ -951,6 +954,160 @@ mod tests {
         assert!((outcome.score - margin).abs() < 1e-9);
     }
 
+    /// Devices at `mounts` on `base`'s geometry: the §7 polarization
+    /// reuse setup, several orientations behind one surface.
+    fn shared_fleet(base: &Scenario, mounts: &[OrientedAntenna]) -> Fleet {
+        let mut fleet = Fleet::new(base.design.clone());
+        for (i, rx) in mounts.iter().enumerate() {
+            let mut scenario = base.clone();
+            scenario.rx = rx.clone();
+            fleet.push(FleetDevice {
+                label: format!("rx-{i}"),
+                profile: DeviceProfile::usrp_directional(),
+                scenario,
+            });
+        }
+        fleet
+    }
+
+    fn two_receivers() -> Vec<OrientedAntenna> {
+        vec![
+            OrientedAntenna::new(Antenna::directional_panel(), Degrees(0.0)),
+            OrientedAntenna::new(Antenna::directional_panel(), Degrees(50.0)),
+        ]
+    }
+
+    /// `scheduler` searching one full `steps × steps` grid over the
+    /// supply range instead of Algorithm 1's coarse-to-fine windows.
+    fn full_grid(scheduler: Scheduler, steps: usize) -> Scheduler {
+        Scheduler {
+            sweep: SweepConfig {
+                steps_per_axis: steps,
+                ..SweepConfig::full_scan()
+            },
+            ..scheduler
+        }
+    }
+
+    fn min_dbm(powers: &[f64]) -> f64 {
+        powers.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    fn isolation_db(powers: &[f64], favored: usize) -> f64 {
+        let others = powers
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != favored)
+            .map(|(_, &p)| p)
+            .fold(f64::NEG_INFINITY, f64::max);
+        powers[favored] - others
+    }
+
+    /// The reference full-grid search: full stack re-evaluation per
+    /// receiver per bias through a cloned scenario, first maximum wins.
+    /// The regression oracle for the batched scheduler path.
+    fn naive_search(
+        base: &Scenario,
+        receivers: &[OrientedAntenna],
+        steps: usize,
+        score: impl Fn(&[f64]) -> f64,
+    ) -> (BiasState, Vec<f64>) {
+        let mut surface = Metasurface::new(base.design.clone());
+        let mut best: Option<(f64, BiasState, Vec<f64>)> = None;
+        for i in 0..steps {
+            for j in 0..steps {
+                let bias = BiasState::new(
+                    30.0 * i as f64 / (steps - 1) as f64,
+                    30.0 * j as f64 / (steps - 1) as f64,
+                );
+                surface.set_bias(bias);
+                let powers: Vec<f64> = receivers
+                    .iter()
+                    .map(|rx| {
+                        let mut scenario = base.clone();
+                        scenario.rx = rx.clone();
+                        scenario.link().received_dbm(Some(&surface)).0
+                    })
+                    .collect();
+                let s = score(&powers);
+                if best.as_ref().map(|(b, ..)| s > *b).unwrap_or(true) {
+                    best = Some((s, bias, powers));
+                }
+            }
+        }
+        let (_, bias, powers) = best.expect("non-empty grid");
+        (bias, powers)
+    }
+
+    #[test]
+    fn batched_search_matches_naive_to_1e12() {
+        // The shared-bias policies on the scheduler's batched path must
+        // not move any result of the naive search by more than 1e-12 —
+        // same winning bias, same per-receiver powers.
+        let base = Scenario::transmissive_default().with_seed(71);
+        let receivers = two_receivers();
+        let fleet = shared_fleet(&base, &receivers);
+        for steps in [3, 7] {
+            let fast = full_grid(Scheduler::max_min(), steps).run(&fleet);
+            let (bias, powers) = naive_search(&base, &receivers, steps, min_dbm);
+            assert_eq!(fast.shared_bias, Some(bias), "steps {steps}: winner moved");
+            for (d, b) in fast.per_device.iter().zip(&powers) {
+                let a = d.power_dbm;
+                assert!((a - b).abs() < 1e-12, "steps {steps}: {a} vs {b}");
+            }
+            let fast = full_grid(Scheduler::favor(1), steps).run(&fleet);
+            let (bias, powers) = naive_search(&base, &receivers, steps, |p| isolation_db(p, 1));
+            assert_eq!(fast.shared_bias, Some(bias));
+            for (d, b) in fast.per_device.iter().zip(&powers) {
+                assert!((d.power_dbm - b).abs() < 1e-12);
+            }
+        }
+        // Multipath rooms too (scatter paths in every device's link).
+        let room = Scenario::wifi_iot_default().with_seed(5);
+        let fast = full_grid(Scheduler::max_min(), 4).run(&shared_fleet(&room, &receivers));
+        let (_, powers) = naive_search(&room, &receivers, 4, min_dbm);
+        for (d, b) in fast.per_device.iter().zip(&powers) {
+            assert!((d.power_dbm - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn max_min_beats_both_baselines_or_matches() {
+        let base = Scenario::transmissive_default().with_seed(71);
+        let fleet = shared_fleet(&base, &two_receivers());
+        let outcome = full_grid(Scheduler::max_min(), 9).run(&fleet);
+        // The shared state must leave the worst link no worse than the
+        // worst no-surface baseline (the surface can always approximate
+        // a compromise rotation).
+        let worst_baseline = min_dbm(&FleetEvaluator::new(&fleet).baselines_dbm());
+        assert!(
+            outcome.min_power_dbm() > worst_baseline,
+            "max-min {:.1} dBm vs worst baseline {:.1} dBm",
+            outcome.min_power_dbm(),
+            worst_baseline
+        );
+    }
+
+    #[test]
+    fn favoring_creates_isolation() {
+        // The surface's reachable output orientations span roughly
+        // 26°–130° for this vertical transmitter (rotation range
+        // ~−64°..+40°). Placing "ours" near one edge of that span and
+        // the neighbour 90° away lets the search drop a polarization
+        // null on the neighbour while staying co-polarized with ours.
+        let base = Scenario::transmissive_default().with_seed(72);
+        let fleet = shared_fleet(
+            &base,
+            &[
+                OrientedAntenna::new(Antenna::directional_panel(), Degrees(125.0)),
+                OrientedAntenna::new(Antenna::directional_panel(), Degrees(35.0)),
+            ],
+        );
+        // Under `Favor` the score is the favored device's isolation.
+        let outcome = full_grid(Scheduler::favor(0), 11).run(&fleet);
+        assert!(outcome.score > 10.0, "isolation = {:.1} dB", outcome.score);
+    }
+
     #[test]
     #[should_panic(expected = "favored index")]
     fn favor_validates_index() {
@@ -995,6 +1152,34 @@ mod tests {
             assert!(d.throughput_bits_hz > 0.0);
         }
         assert!((tdm.score - tdm.total_throughput_bits_hz()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn time_division_winners_stay_in_the_supply_range() {
+        // A custom range whose top grid point `lo + (hi − lo)·(t−1)/(t−1)`
+        // rounds one ulp past `v_max` (13.275750000000002 V uncapped).
+        let sweep = SweepConfig {
+            iterations: 2,
+            steps_per_axis: 3,
+            v_min: Volts(0.7113402061855669),
+            v_max: Volts(13.27575),
+            ..SweepConfig::paper_default()
+        };
+        let scheduler = Scheduler {
+            sweep,
+            ..Scheduler::time_division()
+        };
+        let outcome = scheduler.run(&Fleet::mixed_wifi_ble(6, 0));
+        for d in &outcome.per_device {
+            for v in [d.bias.vx, d.bias.vy] {
+                assert!(
+                    sweep.v_min.0 <= v.0 && v.0 <= sweep.v_max.0,
+                    "{}: {} V outside the supply range",
+                    d.label,
+                    v.0
+                );
+            }
+        }
     }
 
     #[test]

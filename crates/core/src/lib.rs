@@ -14,10 +14,10 @@
 //! * [`sensing`] — the §5.2.2 respiration pipeline;
 //! * [`experiments`] — one runner per figure/table (see DESIGN.md's
 //!   experiment index);
-//! * [`fleet`] — the fleet-serving engine: heterogeneous device
-//!   populations behind one surface, scheduled under max-min, favor
-//!   (access control) and time-division policies on the shared-plan
-//!   batch evaluation path;
+//! * [`fleet`] — the fleet-serving engine and the §7 polarization-reuse
+//!   outlook: heterogeneous device populations behind one surface,
+//!   scheduled under max-min, favor (access control) and time-division
+//!   policies on the shared-plan batch evaluation path;
 //! * [`panels`] — multi-panel serving: K independently-biased surfaces
 //!   ([`panels::PanelArray`]) under one controller, per-device panel
 //!   assignment by geometry/polarization, a per-panel Algorithm 1
@@ -32,10 +32,6 @@
 //!   hysteresis ([`sim::HandoffPolicy`]), warm-start re-optimization
 //!   seeded from the previous tick, and PSU-aware tick budgets that
 //!   bill probing airtime and rail settling against serving duty;
-//! * [`multilink`] — the §7 outlook: several receivers sharing one
-//!   surface, with max-min fairness and favor/suppress (polarization
-//!   access control) policies, each a full-grid search of its own over
-//!   the batched surface evaluator;
 //! * [`render`] — ASCII tables, histograms, heatmaps and sparklines for
 //!   terminal output;
 //! * [`telemetry`] — the unified telemetry plane (canonical face of
@@ -60,7 +56,6 @@
 pub mod experiments;
 pub mod faults;
 pub mod fleet;
-pub mod multilink;
 pub mod panels;
 pub mod render;
 pub mod rooms;

@@ -142,12 +142,6 @@ impl Panel {
         self
     }
 
-    /// The illumination angle this panel presents to a device's link,
-    /// if the panel carries a mount and the deployment a surface.
-    pub fn incidence_for(&self, base: Deployment) -> Option<Degrees> {
-        self.deployment_for(base).incidence_deg()
-    }
-
     /// The scenario a device sees when served by this panel: its own
     /// geometry and radio, this panel's design and mounting position.
     pub(crate) fn scenario_for(&self, base: &Scenario) -> Scenario {

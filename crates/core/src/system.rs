@@ -96,17 +96,6 @@ impl LlamaSystem {
         self.scenario.link().received_dbm(Some(&self.surface))
     }
 
-    /// Measured received power at a bias state, through the receiver's
-    /// noisy tone-measurement chain.
-    pub fn measured_power_dbm(&mut self, bias: BiasState) -> Dbm {
-        self.surface.set_bias(bias);
-        let amp = self
-            .scenario
-            .link()
-            .received_amplitude_at(Some(&self.surface), Seconds(0.0));
-        self.receiver.measure_dbm(amp, 4096)
-    }
-
     /// Baseline power with the surface removed (the paper's 30 s
     /// averaged measurement).
     pub fn baseline_power_dbm(&mut self) -> Dbm {

@@ -25,8 +25,8 @@ pub struct Panel {
 
 /// The bias-rail supply ceiling (the paper sweeps 0–30 V). The single
 /// source of truth for every clamp that mirrors `Metasurface::set_bias`
-/// — the fleet engine and the multilink grids must agree with it
-/// exactly for their batched == naive equivalence contracts to hold.
+/// — the fleet engine must agree with it exactly for its batched ==
+/// naive equivalence contract to hold.
 pub const SUPPLY_CEILING: Volts = Volts(30.0);
 
 /// Bias state of the surface: the two DC channels of §3.3.

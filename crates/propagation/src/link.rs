@@ -138,7 +138,7 @@ impl Link {
         t: Seconds,
     ) -> Complex {
         let paths = self.paths_with(surface);
-        self.project_onto(&paths, surface, &self.rx, t)
+        self.project(&paths, surface, t)
     }
 
     /// The surface-scattered part of [`Link::received_amplitude_with`]
@@ -151,50 +151,14 @@ impl Link {
         };
         let paths = engineered_paths(self.deployment, Some(surface), self.frequency);
         // A reflective deployment's direct ray never touches the surface.
-        let total = self.sum_terms(&paths, &self.rx, 0.0, |path| {
-            (path.label != "direct").then_some(1.0)
-        });
-        total * self.amp_scale(&self.rx)
+        let total = self.sum_terms(&paths, 0.0, |path| (path.label != "direct").then_some(1.0));
+        total * self.amp_scale()
     }
 
-    /// Per-receiver powers in dBm at `t = 0` for several receive mounts
-    /// sharing this link's transmitter, geometry and environment — the
-    /// multi-device inner loop: the path set (engineered + scatter +
-    /// extras) is built once per probe and only the polarization
-    /// projection runs per receiver, instead of a full link rebuild per
-    /// device.
-    ///
-    /// Element `i` equals `{rx = receivers[i], ..self}.
-    /// received_dbm_with(surface)` to within floating-point
-    /// reassociation (≪ 1e-12 relative).
-    pub fn received_dbm_for(
-        &self,
-        surface: Option<&SurfaceResponse>,
-        receivers: &[OrientedAntenna],
-    ) -> Vec<Dbm> {
-        let paths = self.paths_with(surface);
-        receivers
-            .iter()
-            .map(|rx| {
-                Watts(
-                    self.project_onto(&paths, surface, rx, Seconds(0.0))
-                        .norm_sqr(),
-                )
-                .to_dbm()
-            })
-            .collect()
-    }
-
-    /// Projects `paths` onto one receive mount under the probe's shadow
-    /// factor. Every `Link` power/amplitude accessor funnels through
-    /// here, so single-receiver and batched evaluation stay in lockstep.
-    fn project_onto(
-        &self,
-        paths: &[Path],
-        surface: Option<&SurfaceResponse>,
-        rx: &OrientedAntenna,
-        t: Seconds,
-    ) -> Complex {
+    /// Projects `paths` onto the receive mount under the probe's shadow
+    /// factor. Every `Link` power/amplitude accessor, and the `t ≠ 0`
+    /// route of [`PreparedLink`], funnels through here.
+    fn project(&self, paths: &[Path], surface: Option<&SurfaceResponse>, t: Seconds) -> Complex {
         if let Some(surface) = surface {
             debug_assert!(
                 surface.frequency().0.to_bits() == self.frequency.0.to_bits(),
@@ -204,29 +168,23 @@ impl Link {
             );
         }
         let shadow = self.shadow_factor(surface);
-        self.sum_terms(paths, rx, t.0, |_| Some(shadow)) * self.amp_scale(rx)
+        self.sum_terms(paths, t.0, |_| Some(shadow)) * self.amp_scale()
     }
 
     /// The one projection loop: sums every path's projection term onto
-    /// `rx` at time `t`, in path order, before the boresight scale.
+    /// the receive mount at time `t`, in path order, before the boresight scale.
     /// `factor(path)` is the path's shadow factor, or `None` to leave
     /// the path out. Callers that add cached terms afterwards continue
     /// the same running total, so the order of additions never changes.
-    fn sum_terms(
-        &self,
-        paths: &[Path],
-        rx: &OrientedAntenna,
-        t: f64,
-        factor: impl Fn(&Path) -> Option<f64>,
-    ) -> Complex {
+    fn sum_terms(&self, paths: &[Path], t: f64, factor: impl Fn(&Path) -> Option<f64>) -> Complex {
         let tx_state = self.tx.polarization();
-        let rx_state = rx.polarization();
+        let rx_state = self.rx.polarization();
         let tx_rx = self.deployment.tx_rx_distance().0;
         let mut total = Complex::ZERO;
         for path in paths {
             if let Some(shadow) = factor(path) {
                 total += self
-                    .path_term(path, rx, &tx_state, &rx_state, tx_rx, t)
+                    .path_term(path, &tx_state, &rx_state, tx_rx, t)
                     .contribution(shadow);
             }
         }
@@ -236,8 +194,8 @@ impl Link {
     /// Boresight illumination scale: directional antennas apply their
     /// pattern to off-axis scatter per path, but the on-axis gain is a
     /// single factor on the summed amplitude.
-    fn amp_scale(&self, rx: &OrientedAntenna) -> f64 {
-        (self.tx_power.0 * self.tx.antenna.gain_linear() * rx.antenna.gain_linear()).sqrt()
+    fn amp_scale(&self) -> f64 {
+        (self.tx_power.0 * self.tx.antenna.gain_linear() * self.rx.antenna.gain_linear()).sqrt()
     }
 
     /// A deployed transmissive panel shadows near-axis scatter: rays
@@ -256,7 +214,7 @@ impl Link {
         }
     }
 
-    /// One path's projection term onto `rx` at time `t`: the complex
+    /// One path's projection term onto the receive mount at time `t`: the complex
     /// transfer × polarization coupling, the pattern/loss penalty, and
     /// whether the bias-dependent shadow applies. The polarization
     /// states are passed in precomputed (they are per-probe, not
@@ -267,7 +225,6 @@ impl Link {
     fn path_term(
         &self,
         path: &Path,
-        rx: &OrientedAntenna,
         tx_state: &rfmath::jones::JonesVector,
         rx_state: &rfmath::jones::JonesVector,
         tx_rx: f64,
@@ -282,7 +239,7 @@ impl Link {
                 crate::antenna::Pattern::Directional { .. } => 0.316,
                 crate::antenna::Pattern::Omni => 1.0,
             };
-            let rx_pen = match rx.antenna.pattern {
+            let rx_pen = match self.rx.antenna.pattern {
                 crate::antenna::Pattern::Directional { .. } => 0.316,
                 crate::antenna::Pattern::Omni => 1.0,
             };
@@ -421,7 +378,7 @@ impl ProbeForm {
             plain: Complex::ZERO,
             shadowed: Complex::ZERO,
             shadow_extra: 10f64.powf(-link.tuning.shadow_extra_db / 20.0),
-            amp_scale: link.amp_scale(&link.rx),
+            amp_scale: link.amp_scale(),
         };
         // The surfaced legs, then the unsurfaced ones: every mount's
         // direct ray (a reflective mount's appears in both).
@@ -439,7 +396,7 @@ impl ProbeForm {
         }
         let tx_rx = link.deployment.tx_rx_distance().0;
         for path in static_paths {
-            let term = link.path_term(path, &link.rx, &tx_state, &rx_state, tx_rx, 0.0);
+            let term = link.path_term(path, &tx_state, &rx_state, tx_rx, 0.0);
             let sum = if term.shadowed {
                 &mut form.shadowed
             } else {
@@ -663,17 +620,14 @@ impl PreparedLink {
     /// [`Link::paths_with`].
     fn paths_with(&self, surface: Option<&SurfaceResponse>) -> Vec<Path> {
         let mut paths = Vec::with_capacity(2 + self.static_paths.len());
-        self.paths_into(surface, &mut paths);
+        engineered_paths_into(
+            self.link.deployment,
+            surface,
+            self.link.frequency,
+            &mut paths,
+        );
+        paths.extend_from_slice(&self.static_paths);
         paths
-    }
-
-    /// [`PreparedLink::paths_with`] into a caller-owned scratch buffer
-    /// (cleared first) — no allocation once the buffer has grown to the
-    /// path-set size.
-    fn paths_into(&self, surface: Option<&SurfaceResponse>, out: &mut Vec<Path>) {
-        out.clear();
-        engineered_paths_into(self.link.deployment, surface, self.link.frequency, out);
-        out.extend_from_slice(&self.static_paths);
     }
 
     /// The `t = 0` probe: the bound [`ProbeForm`] under one response.
@@ -700,25 +654,7 @@ impl PreparedLink {
     ) -> Complex {
         if t.0 != 0.0 {
             let paths = self.paths_with(surface);
-            return self.link.project_onto(&paths, surface, &self.link.rx, t);
-        }
-        self.probe(surface)
-    }
-
-    /// [`PreparedLink::received_amplitude_with`] against a reusable
-    /// scratch buffer: a time-series caller probing many instants keeps
-    /// one `Vec<Path>` and pays no heap traffic per sample. At `t = 0`
-    /// the buffer is not touched. Bitwise equal to the allocating
-    /// variant.
-    pub fn received_amplitude_scratch(
-        &self,
-        surface: Option<&SurfaceResponse>,
-        t: Seconds,
-        scratch: &mut Vec<Path>,
-    ) -> Complex {
-        if t.0 != 0.0 {
-            self.paths_into(surface, scratch);
-            return self.link.project_onto(scratch, surface, &self.link.rx, t);
+            return self.link.project(&paths, surface, t);
         }
         self.probe(surface)
     }
@@ -747,8 +683,8 @@ impl PreparedLink {
 
     /// Received power in dBm at `t = 0`; bitwise equal to
     /// [`PreparedLink::received_dbm_with`]. The scratch buffer is not
-    /// touched (a `t = 0` probe builds no path); the parameter stays for
-    /// callers that hold one across mixed probes.
+    /// touched (a `t = 0` probe builds no path); the parameter stays
+    /// because the room benchmark's probe rung calls this signature.
     pub fn received_dbm_scratch(
         &self,
         surface: Option<&SurfaceResponse>,
@@ -760,27 +696,6 @@ impl PreparedLink {
     /// Received power in dBm at `t = 0`.
     pub fn received_dbm_with(&self, surface: Option<&SurfaceResponse>) -> Dbm {
         Watts(self.probe(surface).norm_sqr()).to_dbm()
-    }
-
-    /// Per-receiver powers for several mounts sharing this link's
-    /// geometry — one path build, N polarization projections.
-    pub fn received_dbm_for(
-        &self,
-        surface: Option<&SurfaceResponse>,
-        receivers: &[OrientedAntenna],
-    ) -> Vec<Dbm> {
-        let paths = self.paths_with(surface);
-        receivers
-            .iter()
-            .map(|rx| {
-                Watts(
-                    self.link
-                        .project_onto(&paths, surface, rx, Seconds(0.0))
-                        .norm_sqr(),
-                )
-                .to_dbm()
-            })
-            .collect()
     }
 }
 
@@ -895,34 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_receivers_match_per_receiver_links() {
-        // Mixed omni/directional mounts in a multipath room: the batched
-        // projection must agree with N independent link evaluations.
-        let mut link = base_link(90.0);
-        link.environment = Environment::laboratory(5);
-        let surface = Metasurface::llama();
-        let response = surface.response(link.frequency);
-        let receivers = vec![
-            OrientedAntenna::new(Antenna::directional_panel(), Degrees(0.0)),
-            OrientedAntenna::new(Antenna::directional_panel(), Degrees(55.0)),
-            OrientedAntenna::new(Antenna::omni_6dbi(), Degrees(120.0)),
-        ];
-        let batched = link.received_dbm_for(Some(&response), &receivers);
-        for (rx, got) in receivers.iter().zip(&batched) {
-            let mut solo = link.clone();
-            solo.rx = rx.clone();
-            let want = solo.received_dbm_with(Some(&response)).0;
-            assert!(
-                (got.0 - want).abs() < 1e-12,
-                "{}: batched {} vs solo {}",
-                rx.orientation.0,
-                got.0,
-                want
-            );
-        }
-    }
-
-    #[test]
     fn prepared_link_matches_fresh_link() {
         let mut link = base_link(35.0);
         link.environment = Environment::laboratory(9);
@@ -938,12 +825,6 @@ mod tests {
         assert!(
             (prepared.received_dbm_with(None).0 - link.received_dbm_with(None).0).abs() < 1e-12
         );
-        let rxs = vec![link.rx.clone(), link.tx.clone()];
-        let a = prepared.received_dbm_for(Some(&response), &rxs);
-        let b = link.received_dbm_for(Some(&response), &rxs);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x.0 - y.0).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -1057,14 +938,6 @@ mod tests {
             assert_eq!(
                 prepared.received_dbm_scratch(surface, &mut scratch).0,
                 prepared.received_dbm_with(surface).0
-            );
-            assert_eq!(
-                prepared
-                    .received_amplitude_scratch(surface, Seconds(0.0), &mut scratch)
-                    .norm_sqr(),
-                prepared
-                    .received_amplitude_with(surface, Seconds(0.0))
-                    .norm_sqr()
             );
         }
     }

@@ -205,13 +205,8 @@ proptest! {
         let prepared = PreparedLink::new(link.clone());
 
         let want = link.received_amplitude_with(surface, Seconds(0.0));
-        let mut scratch = Vec::new();
-        for got in [
-            prepared.received_amplitude_with(surface, Seconds(0.0)),
-            prepared.received_amplitude_scratch(surface, Seconds(0.0), &mut scratch),
-        ] {
-            prop_assert!(close(got, want), "received {got:?} vs per-path {want:?}");
-        }
+        let got = prepared.received_amplitude_with(surface, Seconds(0.0));
+        prop_assert!(close(got, want), "received {got:?} vs per-path {want:?}");
         let (got, want) = (
             prepared.scattered_amplitude(surface),
             link.scattered_amplitude_with(surface),

@@ -12,64 +12,85 @@
 //! cargo run --release --example polarization_reuse
 //! ```
 
-use llama::core::multilink::{baseline_dbm, optimize_favor, optimize_max_min, SharedReceiver};
+use llama::control::sweep::SweepConfig;
+use llama::core::fleet::{Fleet, FleetDevice, FleetEvaluator, Scheduler};
 use llama::core::scenario::Scenario;
-use llama::propagation::antenna::{Antenna, OrientedAntenna};
+use llama::devices::profile::DeviceProfile;
 use llama::rfmath::units::Degrees;
 
 fn main() {
     let base = Scenario::transmissive_default().with_seed(42);
 
     // Three devices at awkward relative orientations.
-    let receivers = vec![
-        SharedReceiver {
-            rx: OrientedAntenna::new(Antenna::directional_panel(), Degrees(40.0)),
-            label: "thermostat (40°)",
-        },
-        SharedReceiver {
-            rx: OrientedAntenna::new(Antenna::directional_panel(), Degrees(85.0)),
-            label: "camera (85°)",
-        },
-        SharedReceiver {
-            rx: OrientedAntenna::new(Antenna::directional_panel(), Degrees(120.0)),
-            label: "door sensor (120°)",
-        },
-    ];
+    let mut fleet = Fleet::new(base.design.clone());
+    for (label, orientation) in [
+        ("thermostat (40°)", 40.0),
+        ("camera (85°)", 85.0),
+        ("door sensor (120°)", 120.0),
+    ] {
+        fleet.push(FleetDevice::from_profile(
+            label,
+            DeviceProfile::usrp_directional(),
+            base.clone(),
+            Degrees(orientation),
+        ));
+    }
 
     println!("Polarization reuse — three devices, one surface");
     println!();
     println!("per-device baselines (no surface):");
-    for r in &receivers {
-        println!("  {:<22} {:.1}", r.label, baseline_dbm(&base, &r.rx));
+    let baselines = FleetEvaluator::new(&fleet).baselines_dbm();
+    for (device, p) in fleet.devices().iter().zip(&baselines) {
+        println!("  {:<22} {p:.1} dBm", device.label);
     }
     println!();
 
+    // Both policies search one full 13 × 13 grid over the supply range.
+    let sweep = SweepConfig {
+        steps_per_axis: 13,
+        ..SweepConfig::full_scan()
+    };
+
     // Policy 1: fairness.
-    let fair = optimize_max_min(&base, &receivers, 13);
+    let fair = Scheduler {
+        sweep,
+        ..Scheduler::max_min()
+    }
+    .run(&fleet);
+    let bias = fair.shared_bias.expect("shared-bias policy");
     println!(
         "max-min fairness: bias Vx = {:.1} V, Vy = {:.1} V",
-        fair.bias.vx.0, fair.bias.vy.0
+        bias.vx.0, bias.vy.0
     );
-    for (r, p) in receivers.iter().zip(&fair.powers_dbm) {
-        println!("  {:<22} {p:>8.1} dBm", r.label);
+    for d in &fair.per_device {
+        println!("  {:<22} {:>8.1} dBm", d.label, d.power_dbm);
     }
-    println!("  worst link: {:.1} dBm", fair.min_dbm());
+    println!("  worst link: {:.1} dBm", fair.min_power_dbm());
     println!();
 
     // Policy 2: favor the door sensor, suppress the rest.
     let favored = 2;
-    let exclusive = optimize_favor(&base, &receivers, favored, 13);
+    let exclusive = Scheduler {
+        sweep,
+        ..Scheduler::favor(favored)
+    }
+    .run(&fleet);
+    let bias = exclusive.shared_bias.expect("shared-bias policy");
     println!(
         "favor '{}': bias Vx = {:.1} V, Vy = {:.1} V",
-        receivers[favored].label, exclusive.bias.vx.0, exclusive.bias.vy.0
+        fleet.devices()[favored].label,
+        bias.vx.0,
+        bias.vy.0
     );
-    for (i, (r, p)) in receivers.iter().zip(&exclusive.powers_dbm).enumerate() {
+    for (i, d) in exclusive.per_device.iter().enumerate() {
         let marker = if i == favored { " <= favored" } else { "" };
-        println!("  {:<22} {p:>8.1} dBm{marker}", r.label);
+        println!("  {:<22} {:>8.1} dBm{marker}", d.label, d.power_dbm);
     }
+    // Under `Favor` the score is the favored device's margin over the
+    // best other device.
     println!(
         "  isolation over best other device: {:.1} dB",
-        exclusive.isolation_db(favored)
+        exclusive.score
     );
     println!();
     println!(
