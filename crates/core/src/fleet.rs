@@ -1183,6 +1183,35 @@ mod tests {
     }
 
     #[test]
+    fn time_division_matches_its_golden_digest() {
+        // Pins the time-division window rule before it is routed through
+        // `sweep::Window`. Three rounds: from round 3 on, a window clamped
+        // at a rail is where the per-round step rule and `Window::narrow`
+        // part ways (two rounds probe the same grids under both).
+        let scheduler = Scheduler {
+            sweep: SweepConfig {
+                iterations: 3,
+                ..SweepConfig::paper_default()
+            },
+            ..Scheduler::time_division()
+        };
+        let outcome = scheduler.run(&Fleet::mixed_wifi_ble(6, 0));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for d in &outcome.per_device {
+            mix(d.bias.vx.0.to_bits());
+            mix(d.bias.vy.0.to_bits());
+            mix(d.power_dbm.to_bits());
+        }
+        mix(outcome.probes as u64);
+        assert_eq!(h, 0x3f90_2f7e_7592_5995, "digest {h:#018x}");
+    }
+
+    #[test]
     fn time_division_extra_iterations_refine_not_rescan() {
         // A third round must add probes (a finer window around each
         // winner, not a rescan of round 2's grid) and can only improve
