@@ -30,13 +30,16 @@
 //!   bit-identical to serial execution;
 //! * **joint multi-surface search** ([`PanelScheduler::with_joint`]) —
 //!   block coordinate descent over the per-panel bias vector against the
-//!   *superposed* field ([`propagation::coupling::MultiSurfaceField`]):
-//!   each round re-sweeps every panel with the other panels' leakage
-//!   held fixed ([`CoupledEvaluator`]), iterating to a fixed point under
-//!   a convergence tolerance and round cap. The independent per-panel
-//!   path stays the fast approximation, and a disabled coupling
-//!   ([`CouplingConfig::is_disabled`]) short-circuits to it *bitwise*
-//!   (property-tested).
+//!   *superposed* field ([`CoupledEvaluator`], with the per-term physics
+//!   in [`propagation::coupling`]): each round re-sweeps every panel with
+//!   the other panels' leakage held fixed, iterating to a fixed point
+//!   under a convergence tolerance and round cap. The independent
+//!   per-panel path stays the fast approximation, and a disabled
+//!   coupling ([`CouplingConfig::is_disabled`]) short-circuits to it
+//!   *bitwise* (property-tested).
+//!
+//! One crate-private device × panel link set serves the reference-power
+//! assignment, the mobility simulator's margins and the coupled field.
 //!
 //! With K = 1 the panel scheduler *is* the shared-bias scheduler (the
 //! proptests pin exact equality); with K panels each compromise spans
@@ -69,7 +72,7 @@ use metasurface::designs::Design;
 use metasurface::evaluator::{PlanCache, StackEvaluator};
 use metasurface::response::SurfaceResponse;
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
-use propagation::coupling::{CouplingConfig, MultiSurfaceField};
+use propagation::coupling::CouplingConfig;
 use propagation::link::PreparedLink;
 use propagation::rays::Deployment;
 use rfmath::complex::Complex;
@@ -350,7 +353,7 @@ impl PanelArray {
         let n = fleet.len();
         let k = self.panels.len();
         let capacity = n.div_ceil(k);
-        let probes = ReferenceProbes::new(fleet, self, caches);
+        let probes = PanelLinks::at_reference(fleet, self, caches);
         // Score every device against every panel up front (no capacity
         // pruning here — pruning while scanning would make the scores
         // depend on processing order).
@@ -467,40 +470,42 @@ fn axis_distance_deg(a: Degrees, b: Degrees) -> f64 {
     d.min(180.0 - d)
 }
 
-/// Every device's link re-mounted at every panel, plus every panel's
-/// [`REFERENCE_BIAS`] response per carrier: the one reference-power
+/// Every device's link re-mounted at every panel, with every panel's
+/// compiled plan and current response per carrier: the one device ×
+/// panel link set. Filled at [`REFERENCE_BIAS`] it is the reference-power
 /// measurement behind [`Assignment::BestReference`] and the mobility
-/// simulator's handoff margins and fault re-homing.
+/// simulator's handoff, fault and revival margins; filled per bias
+/// vector it is the field the [`CoupledEvaluator`] superposes.
 #[derive(Default)]
-pub(crate) struct ReferenceProbes {
+pub(crate) struct PanelLinks {
     /// `links[d][k]`: device `d`'s link with its surface at panel `k`.
     links: Vec<Vec<PreparedLink>>,
     /// `carrier_of[d]`: device `d`'s carrier, an index into each
-    /// panel's `responses` row.
+    /// panel's `plans` and `responses` rows.
     carrier_of: Vec<usize>,
-    /// `responses[k][c]`: panel `k`'s reference response at carrier `c`.
+    /// `plans[k][c]`: panel `k`'s compiled plan at distinct carrier `c`.
+    plans: Vec<Vec<Rc<StackEvaluator>>>,
+    /// `responses[k][c]`: panel `k`'s response at carrier `c` under the
+    /// bias it was last filled at.
     responses: Vec<Vec<SurfaceResponse>>,
 }
 
-impl ReferenceProbes {
+impl PanelLinks {
     /// Prepares each device's link once (scatter cached), re-targets it
-    /// at every panel's mounting, and evaluates each panel × distinct
-    /// carrier reference response once, drawing plans from `caches`.
+    /// at every panel's mounting, and draws each panel × distinct
+    /// carrier plan from `caches`. No response is filled yet.
     pub(crate) fn new(
         fleet: &Fleet,
         array: &PanelArray,
         caches: &[(&'static str, PlanCache)],
     ) -> Self {
         let (carriers, carrier_of) = fleet.carriers();
-        let responses = array
+        let plans: Vec<Vec<Rc<StackEvaluator>>> = array
             .panels
             .iter()
             .map(|panel| {
                 let cache = PanelArray::cache_for(caches, &panel.design);
-                carriers
-                    .iter()
-                    .map(|&f| cache.plan(f).surface_response(REFERENCE_BIAS))
-                    .collect()
+                carriers.iter().map(|&f| cache.plan(f)).collect()
             })
             .collect();
         let links = fleet
@@ -519,26 +524,82 @@ impl ReferenceProbes {
                     .collect()
             })
             .collect();
+        let responses = plans
+            .iter()
+            .map(|row| Vec::with_capacity(row.len()))
+            .collect();
         Self {
             links,
             carrier_of,
+            plans,
             responses,
         }
     }
 
-    /// Device `d`'s received power through panel `k` at the reference
-    /// bias, dBm.
-    pub(crate) fn power(&self, d: usize, k: usize) -> f64 {
-        let response = Some(&self.responses[k][self.carrier_of[d]]);
-        self.links[d][k].received_dbm_with(response).0
+    /// [`PanelLinks::new`] with every panel filled at
+    /// [`REFERENCE_BIAS`]: the reference-power measurement.
+    pub(crate) fn at_reference(
+        fleet: &Fleet,
+        array: &PanelArray,
+        caches: &[(&'static str, PlanCache)],
+    ) -> Self {
+        let mut set = Self::new(fleet, array, caches);
+        for k in 0..set.panel_count() {
+            set.fill_panel(k, REFERENCE_BIAS);
+        }
+        set
     }
 
-    /// The first panel passing `eligible` with the highest reference
-    /// power for device `d`, and that power; `None` when no eligible
-    /// panel measures above `-∞`.
+    /// Number of panels.
+    pub(crate) fn panel_count(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// Fills every panel's responses, panel `k` at `biases[k]`.
+    pub(crate) fn fill(&mut self, biases: &[BiasState]) {
+        assert_eq!(biases.len(), self.panel_count(), "one bias per panel");
+        for (k, &bias) in biases.iter().enumerate() {
+            self.fill_panel(k, bias);
+        }
+    }
+
+    /// Fills panel `k`'s responses at `bias`, clamped to the supply
+    /// ceiling.
+    pub(crate) fn fill_panel(&mut self, k: usize, bias: BiasState) {
+        let bias = bias.clamped(SUPPLY_CEILING);
+        let row = &mut self.responses[k];
+        row.clear();
+        row.extend(self.plans[k].iter().map(|plan| plan.surface_response(bias)));
+    }
+
+    /// Panel `k`'s filled response at device `d`'s carrier.
+    fn response(&self, d: usize, k: usize) -> &SurfaceResponse {
+        &self.responses[k][self.carrier_of[d]]
+    }
+
+    /// Device `d`'s full received amplitude through panel `k` — the
+    /// field the independent per-panel search scores.
+    pub(crate) fn home_amplitude(&self, d: usize, k: usize) -> Complex {
+        self.links[d][k].received_amplitude_with(Some(self.response(d, k)), Seconds(0.0))
+    }
+
+    /// The part of device `d`'s field that panel `k` scatters: what the
+    /// panel leaks toward `d` when it serves someone else.
+    pub(crate) fn scattered_amplitude(&self, d: usize, k: usize) -> Complex {
+        self.links[d][k].scattered_amplitude(Some(self.response(d, k)))
+    }
+
+    /// Device `d`'s received power through panel `k`, dBm.
+    pub(crate) fn power(&self, d: usize, k: usize) -> f64 {
+        dbm(self.home_amplitude(d, k))
+    }
+
+    /// The first panel passing `eligible` with the highest power for
+    /// device `d`, and that power; `None` when no eligible panel
+    /// measures above `-∞`.
     pub(crate) fn best(&self, d: usize, eligible: impl Fn(usize) -> bool) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
-        for k in (0..self.responses.len()).filter(|&k| eligible(k)) {
+        for k in (0..self.panel_count()).filter(|&k| eligible(k)) {
             let p = self.power(d, k);
             if p > best.map_or(f64::NEG_INFINITY, |(_, b)| b) {
                 best = Some((k, p));
@@ -567,6 +628,11 @@ impl ReferenceProbes {
             }
         }
     }
+}
+
+/// Received power of a receive-port amplitude, dBm.
+fn dbm(amplitude: Complex) -> f64 {
+    Watts(amplitude.norm_sqr()).to_dbm().0
 }
 
 /// How devices map onto panels.
@@ -785,7 +851,7 @@ impl PanelOutcome {
 /// sub-fleet, on the shared-plan batch path.
 #[derive(Clone, Debug)]
 pub struct PanelScheduler {
-    /// The per-panel scheduling core (sweep strategy, policy, TDM slot).
+    /// The per-panel scheduling core (sweep strategy and policy).
     /// A [`Policy::Favor`] `favored` index is interpreted in *fleet*
     /// order: the panel serving that device runs the isolation
     /// objective against its sector neighbours (falling back to max-min
@@ -1084,25 +1150,26 @@ impl PanelScheduler {
     }
 }
 
-/// The superposed-field probe engine behind the joint search: one
-/// [`MultiSurfaceField`] per device (its home panel's full link plus
-/// every foreign panel's re-mounted leakage link) and one compiled plan
-/// handle per panel × distinct carrier, batch-reused across probes.
+/// The superposed-field probe engine behind the joint search: every
+/// device's link at every panel (the same device × panel link set the
+/// reference-power assignment measures on), each device's home panel,
+/// and the cascaded hop from every foreign panel to that home.
 ///
-/// The home link of each field is constructed exactly like
-/// [`FleetEvaluator::with_plan_cache`] constructs its links, so at zero
-/// coupling the superposed powers are *bit-identical* to the
-/// independent evaluator's (property-tested) — the joint path degrades
-/// to the fast approximation with no physics drift.
+/// Each device's field is its home panel's full amplitude plus one
+/// [`CouplingConfig::cross_term`] per foreign panel, summed in one
+/// canonical order: home first, then cross terms in panel order. A home
+/// link is its device's base link re-mounted at the home panel — the
+/// same folded probe [`FleetEvaluator::with_plan_cache`] builds — so at
+/// zero coupling the superposed powers are *bit-identical* to the
+/// independent evaluator's (property-tested): the joint path degrades to
+/// the fast approximation with no physics drift.
 pub struct CoupledEvaluator {
-    fields: Vec<MultiSurfaceField>,
+    links: PanelLinks,
     home_of: Vec<usize>,
-    carrier_of: Vec<usize>,
-    /// `plans[k][c]`: panel `k`'s compiled plan at distinct carrier `c`.
-    plans: Vec<Vec<Rc<StackEvaluator>>>,
+    /// `hops[d][k]`: the cascaded hop from panel `k`'s mount to device
+    /// `d`'s home mount ([`CouplingConfig::hop`]).
+    hops: Vec<Vec<Complex>>,
     coupling: CouplingConfig,
-    /// `responses[k][c]`, refilled per bias vector.
-    responses: Vec<Vec<SurfaceResponse>>,
 }
 
 impl CoupledEvaluator {
@@ -1127,95 +1194,60 @@ impl CoupledEvaluator {
         coupling: CouplingConfig,
     ) -> Self {
         assert_eq!(assignment.len(), fleet.len(), "one panel per device");
-        let panels = array.panels();
-        let (carriers, carrier_of) = fleet.carriers();
-        let plans: Vec<Vec<Rc<StackEvaluator>>> = panels
-            .iter()
-            .map(|panel| {
-                let cache = PanelArray::cache_for(caches, &panel.design);
-                carriers.iter().map(|&f| cache.plan(f)).collect()
-            })
-            .collect();
-        let fields: Vec<MultiSurfaceField> = fleet
-            .devices()
+        let links = PanelLinks::new(fleet, array, caches);
+        let hops = links
+            .links
             .iter()
             .zip(assignment)
-            .map(|(device, &home)| {
-                // The home link matches the independent evaluator's
-                // construction bit-for-bit; foreign panels re-mount the
-                // same prepared link at their own positions, reusing
-                // the cached static paths.
-                let home_link =
-                    PreparedLink::new(panels[home].scenario_for(&device.scenario).link());
-                let links: Vec<PreparedLink> = panels
-                    .iter()
-                    .enumerate()
-                    .map(|(k, panel)| {
-                        if k == home {
-                            home_link.clone()
-                        } else {
-                            home_link.with_surface_placement(
-                                panel.deployment_for(device.scenario.deployment),
-                            )
-                        }
-                    })
-                    .collect();
-                MultiSurfaceField::new(home, links)
+            .map(|(row, &home)| {
+                row.iter()
+                    .map(|link| coupling.hop(link.link(), row[home].link()))
+                    .collect()
             })
             .collect();
-        let responses = plans
-            .iter()
-            .map(|row| Vec::with_capacity(row.len()))
-            .collect();
         Self {
-            fields,
+            links,
             home_of: assignment.to_vec(),
-            carrier_of,
-            plans,
+            hops,
             coupling,
-            responses,
         }
     }
 
     /// Number of devices under evaluation.
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.home_of.len()
     }
 
     /// True for an empty fleet.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.home_of.is_empty()
     }
 
-    /// Evaluates every panel's response at its bias, per carrier.
-    fn fill_responses(&mut self, biases: &[BiasState]) {
-        assert_eq!(biases.len(), self.plans.len(), "one bias per panel");
-        let Self {
-            plans, responses, ..
-        } = self;
-        for (k, row) in plans.iter().enumerate() {
-            responses[k].clear();
-            let bias = biases[k].clamped(SUPPLY_CEILING);
-            for plan in row {
-                responses[k].push(plan.surface_response(bias));
-            }
+    /// Panel `k`'s term in device `d`'s field under the filled
+    /// responses: the full amplitude from its home panel, a cross term
+    /// from any other.
+    fn term(&self, d: usize, k: usize) -> Complex {
+        if k == self.home_of[d] {
+            self.links.home_amplitude(d, k)
+        } else {
+            self.coupling
+                .cross_term(self.links.scattered_amplitude(d, k), self.hops[d][k])
         }
     }
 
-    /// Device `d`'s superposed amplitude from the filled responses —
-    /// the canonical association: home first, cross terms in panel
-    /// order.
-    fn amplitude_of(&self, d: usize) -> Complex {
-        let field = &self.fields[d];
-        let c = self.carrier_of[d];
+    /// Device `d`'s superposed amplitude over every panel except `skip`,
+    /// in the canonical association: home first, then cross terms in
+    /// panel order. A disabled coupling returns the home term untouched.
+    fn superpose(&self, d: usize, skip: Option<usize>) -> Complex {
         let home = self.home_of[d];
-        let mut amp = field.home_amplitude(Some(&self.responses[home][c]));
+        let mut amp = if skip == Some(home) {
+            Complex::ZERO
+        } else {
+            self.term(d, home)
+        };
         if !self.coupling.is_disabled() {
-            for k in 0..field.panel_count() {
-                if k == home {
-                    continue;
-                }
-                amp += field.cross_amplitude(k, Some(&self.responses[k][c]), &self.coupling);
+            for k in (0..self.links.panel_count()).filter(|&k| k != home && Some(k) != skip) {
+                amp += self.term(d, k);
             }
         }
         amp
@@ -1225,15 +1257,15 @@ impl CoupledEvaluator {
     /// vector. At zero coupling this equals the independent
     /// [`FleetEvaluator::powers_dbm`] bit-for-bit.
     pub fn powers_dbm(&mut self, biases: &[BiasState]) -> Vec<f64> {
-        self.fill_responses(biases);
-        (0..self.fields.len())
-            .map(|d| Watts(self.amplitude_of(d).norm_sqr()).to_dbm().0)
+        self.links.fill(biases);
+        (0..self.len())
+            .map(|d| dbm(self.superpose(d, None)))
             .collect()
     }
 
     /// The fleet-wide min superposed power (`-∞` when empty).
     pub fn min_power_dbm(&mut self, biases: &[BiasState]) -> f64 {
-        if self.fields.is_empty() {
+        if self.is_empty() {
             return f64::NEG_INFINITY;
         }
         self.powers_dbm(biases)
@@ -1245,14 +1277,12 @@ impl CoupledEvaluator {
     /// at this bias vector — 0 when panels don't talk, approaching 1 if
     /// leakage dominated (it never should).
     pub fn cross_energy_fraction(&mut self, biases: &[BiasState]) -> f64 {
-        self.fill_responses(biases);
+        self.links.fill(biases);
         let mut cross = 0.0f64;
         let mut total = 0.0f64;
-        for d in 0..self.fields.len() {
-            let amp = self.amplitude_of(d);
-            let c = self.carrier_of[d];
-            let home_idx = self.home_of[d];
-            let home = self.fields[d].home_amplitude(Some(&self.responses[home_idx][c]));
+        for d in 0..self.len() {
+            let amp = self.superpose(d, None);
+            let home = self.term(d, self.home_of[d]);
             cross += (amp - home).norm_sqr();
             total += amp.norm_sqr();
         }
@@ -1271,25 +1301,9 @@ impl CoupledEvaluator {
     /// swept panel's stored response at its *last probe*, not its
     /// accepted best.
     fn fixed_amplitudes(&mut self, swept: usize, biases: &[BiasState]) -> Vec<Complex> {
-        self.fill_responses(biases);
-        (0..self.fields.len())
-            .map(|d| {
-                let field = &self.fields[d];
-                let c = self.carrier_of[d];
-                let home = self.home_of[d];
-                let mut amp = if home == swept {
-                    Complex::ZERO
-                } else {
-                    field.home_amplitude(Some(&self.responses[home][c]))
-                };
-                for k in 0..field.panel_count() {
-                    if k == home || k == swept {
-                        continue;
-                    }
-                    amp += field.cross_amplitude(k, Some(&self.responses[k][c]), &self.coupling);
-                }
-                amp
-            })
+        self.links.fill(biases);
+        (0..self.len())
+            .map(|d| self.superpose(d, Some(swept)))
             .collect()
     }
 
@@ -1300,31 +1314,9 @@ impl CoupledEvaluator {
     /// [`CoupledEvaluator::fixed_amplitudes`] and the canonical
     /// [`CoupledEvaluator::powers_dbm`] both re-fill before reading.
     fn sweep_powers(&mut self, swept: usize, bias: BiasState, fixed: &[Complex]) -> Vec<f64> {
-        let bias = bias.clamped(SUPPLY_CEILING);
-        let Self {
-            plans, responses, ..
-        } = self;
-        responses[swept].clear();
-        for plan in &plans[swept] {
-            responses[swept].push(plan.surface_response(bias));
-        }
-        (0..self.fields.len())
-            .map(|d| {
-                let field = &self.fields[d];
-                let c = self.carrier_of[d];
-                let home = self.home_of[d];
-                let amp = if home == swept {
-                    field.home_amplitude(Some(&self.responses[swept][c])) + fixed[d]
-                } else {
-                    fixed[d]
-                        + field.cross_amplitude(
-                            swept,
-                            Some(&self.responses[swept][c]),
-                            &self.coupling,
-                        )
-                };
-                Watts(amp.norm_sqr()).to_dbm().0
-            })
+        self.links.fill_panel(swept, bias);
+        (0..self.len())
+            .map(|d| dbm(fixed[d] + self.term(d, swept)))
             .collect()
     }
 }
@@ -1648,6 +1640,101 @@ mod tests {
                     coupled_powers[d],
                     independent[i]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn disabled_coupling_is_bitwise_the_home_amplitude() {
+        // Every foreign panel biased away from its home's state, yet a
+        // disabled coupling adds nothing — not even a signed zero.
+        let fleet = Fleet::mixed_wifi_ble(6, 2021);
+        let array = PanelArray::distributed(fleet.design.clone(), 3);
+        let assignment = array.assign(&fleet, &Assignment::ByOrientation);
+        let mut coupled =
+            CoupledEvaluator::new(&fleet, &array, &assignment, CouplingConfig::disabled());
+        let biases = [
+            BiasState::new(9.0, 3.0),
+            BiasState::new(21.0, 27.0),
+            BiasState::new(3.0, 15.0),
+        ];
+        let powers = coupled.powers_dbm(&biases);
+        for (d, &home) in assignment.iter().enumerate() {
+            let alone = coupled.links.home_amplitude(d, home);
+            let superposed = coupled.superpose(d, None);
+            assert_eq!(alone.re.to_bits(), superposed.re.to_bits(), "device {d}");
+            assert_eq!(alone.im.to_bits(), superposed.im.to_bits(), "device {d}");
+            assert_eq!(powers[d].to_bits(), coupled.links.power(d, home).to_bits());
+        }
+    }
+
+    #[test]
+    fn single_panel_superposition_is_the_home_field() {
+        // With one panel there is no foreign term to add, so even an
+        // enabled coupling (cascade included) leaves the home field
+        // bitwise: the home panel never contributes a cross term.
+        let fleet = quad_fleet();
+        let array = PanelArray::new(vec![
+            Panel::new("only", fleet.design.clone(), Degrees(0.0)).at_surface_fraction(0.3)
+        ]);
+        let coupling = CouplingConfig {
+            gain: 0.2,
+            cascade_gain: 0.5,
+        };
+        let mut coupled = CoupledEvaluator::new(&fleet, &array, &[0; 4], coupling);
+        let powers = coupled.powers_dbm(&[BiasState::new(9.0, 3.0)]);
+        for (d, &power) in powers.iter().enumerate() {
+            let alone = coupled.links.home_amplitude(d, 0);
+            let superposed = coupled.superpose(d, None);
+            assert_eq!(alone.re.to_bits(), superposed.re.to_bits(), "device {d}");
+            assert_eq!(alone.im.to_bits(), superposed.im.to_bits(), "device {d}");
+            assert_eq!(power.to_bits(), coupled.links.power(d, 0).to_bits());
+        }
+        assert_eq!(
+            coupled.cross_energy_fraction(&[BiasState::new(9.0, 3.0)]),
+            0.0
+        );
+    }
+
+    #[test]
+    fn link_set_rebind_matches_a_fresh_build() {
+        // The mobility simulator's reference refresh: after a rotation
+        // (cached scatter reused) and a genuine move (scatter replayed at
+        // the new separation), the rebound set measures exactly like one
+        // built from scratch against the moved fleet, on both rebind
+        // routes.
+        for allocating in [false, true] {
+            let mut fleet = Fleet::mixed_wifi_ble(6, 77);
+            let array = PanelArray::distributed(fleet.design.clone(), 3);
+            let caches = array.plan_caches();
+            let mut set = PanelLinks::at_reference(&fleet, &array, &caches);
+
+            let rx = fleet.devices()[1].scenario.rx.clone();
+            fleet.device_mut(1).scenario.rx = propagation::antenna::OrientedAntenna::new(
+                rx.antenna,
+                Degrees(rx.orientation.0 + 35.0),
+            );
+            let deployment = fleet.devices()[4].scenario.deployment;
+            fleet.device_mut(4).scenario.deployment = deployment.with_endpoint_separation(
+                rfmath::units::Meters(deployment.tx_rx_distance().0 + 0.7),
+            );
+            let rotated = fleet.devices()[1].scenario.link();
+            let moved = fleet.devices()[4].scenario.link();
+            assert!(set.links[1][0].static_paths_reusable(&rotated));
+            assert!(!set.links[4][0].static_paths_reusable(&moved));
+
+            for d in [1, 4] {
+                set.rebind(d, &fleet.devices()[d].scenario, &array, allocating);
+            }
+            let fresh = PanelLinks::at_reference(&fleet, &array, &caches);
+            for d in 0..fleet.len() {
+                for k in 0..array.len() {
+                    assert_eq!(
+                        set.power(d, k).to_bits(),
+                        fresh.power(d, k).to_bits(),
+                        "device {d}, panel {k}, allocating {allocating}"
+                    );
+                }
             }
         }
     }

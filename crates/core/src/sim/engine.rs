@@ -70,7 +70,7 @@ use rfmath::units::{Dbm, Seconds};
 
 use crate::faults::FaultPlan;
 use crate::fleet::{Fleet, FleetEvaluator, FleetOutcome, Policy};
-use crate::panels::{PanelArray, PanelOutcome, PanelScheduler, ReferenceProbes, RevivalPolicy};
+use crate::panels::{PanelArray, PanelLinks, PanelOutcome, PanelScheduler, RevivalPolicy};
 use crate::sim::mobility::DynamicFleet;
 use crate::telemetry::{RecorderHandle, TelemetryEvent};
 
@@ -365,7 +365,7 @@ impl Homes {
 /// The live panel with the highest reference power for device `d`:
 /// where fault recovery and revival re-home it. The all-panels-out
 /// guard leaves at least one live panel.
-fn best_live_panel(reference: &ReferenceProbes, d: usize, outaged: &[bool]) -> usize {
+fn best_live_panel(reference: &PanelLinks, d: usize, outaged: &[bool]) -> usize {
     reference
         .best(d, |k| !outaged[k])
         .expect("at least one panel survives")
@@ -606,7 +606,7 @@ impl MobilitySim {
             streaks: vec![(0, 0); fleet.len()],
             marked: vec![false; array.len()],
         };
-        let mut reference = ReferenceProbes::default();
+        let mut reference = PanelLinks::default();
 
         let mut out = Vec::with_capacity(ticks);
         let mut wall_total = 0.0f64;
@@ -670,7 +670,7 @@ impl MobilitySim {
                 // like the static PanelScheduler would.
                 homes.assignment =
                     array.assign_with_caches(fleet.fleet(), &self.scheduler.assignment, &caches);
-                reference = ReferenceProbes::new(fleet.fleet(), array, &caches);
+                reference = PanelLinks::at_reference(fleet.fleet(), array, &caches);
                 // A panel dark at t = 0 never receives its sub-fleet:
                 // the policy's picks re-home to surviving panels before
                 // anything is built on top of the assignment. Nothing

@@ -52,7 +52,7 @@ pub mod rays;
 pub mod signal;
 
 pub use antenna::{Antenna, OrientedAntenna, Pattern};
-pub use coupling::{CouplingConfig, MultiSurfaceField};
+pub use coupling::CouplingConfig;
 pub use environment::Environment;
 pub use link::{Link, LinkTuning, PreparedLink};
 pub use noise::NoiseModel;

@@ -669,11 +669,13 @@ impl PreparedLink {
     /// counts exactly once.
     ///
     /// This is the field a *foreign* panel of a panel array leaks toward
-    /// this receiver: a coupled sum
-    /// ([`crate::coupling::MultiSurfaceField`]) superposes the home
-    /// link's full amplitude with each extra panel's scattered term, so
-    /// direct and environment energy are never double-counted. `None`
-    /// (panel dark / no response) yields exactly `Complex::ZERO`.
+    /// this receiver: the coupled field superposes the home link's full
+    /// amplitude with one [`CouplingConfig::cross_term`] of each foreign
+    /// panel's scattered amplitude, so direct and environment energy are
+    /// never double-counted. `None` (panel dark / no response) yields
+    /// exactly `Complex::ZERO`.
+    ///
+    /// [`CouplingConfig::cross_term`]: crate::coupling::CouplingConfig::cross_term
     pub fn scattered_amplitude(&self, surface: Option<&SurfaceResponse>) -> Complex {
         match surface {
             Some(surface) => self.form.scattered(self.link.deployment.surface, surface),
