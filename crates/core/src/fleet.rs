@@ -334,11 +334,13 @@ impl FleetEvaluator {
     /// Re-prepares a single device's probe handle after a mobility step,
     /// leaving every other device's cached scatter and every compiled
     /// plan untouched — the incremental path that lets a tick that moved
-    /// 2 of 32 devices re-prepare only those 2 links. Returns `true`
-    /// when the update was a cheap rebind (rotation or power change —
-    /// the cached bias-independent paths were reused) and `false` when
-    /// the device genuinely moved and its link needed a full
-    /// re-preparation ([`PreparedLink::rebind`]).
+    /// 2 of 32 devices re-prepare only those 2 links. The link is
+    /// updated in place ([`PreparedLink::rebind_in_place`]). Returns
+    /// `true` when the update was a cheap rebind (rotation or power
+    /// change — the cached bias-independent paths were reused) and
+    /// `false` when the device genuinely moved: its static paths were
+    /// rebuilt at the new separation by replaying the cached scatter
+    /// draws (a changed environment re-realizes them from scratch).
     ///
     /// # Panics
     /// Panics when `idx` is out of range or when the update changes the
@@ -556,10 +558,11 @@ pub struct Scheduler {
     pub sweep: SweepConfig,
     /// Allocation policy.
     pub policy: Policy,
-    /// `TimeDivision` slot length; each frame serves every device for
-    /// one slot, losing one PSU switch per slot boundary.
-    pub slot: Seconds,
 }
+
+/// [`Policy::TimeDivision`]'s slot length: each frame serves every
+/// device for one slot, losing one PSU switch per slot boundary.
+const TIME_DIVISION_SLOT: Seconds = Seconds(0.2);
 
 impl Scheduler {
     /// A max-min fairness scheduler with the paper's sweep defaults.
@@ -567,7 +570,6 @@ impl Scheduler {
         Self {
             sweep: SweepConfig::paper_default(),
             policy: Policy::MaxMin,
-            slot: Seconds(0.2),
         }
     }
 
@@ -840,8 +842,8 @@ impl Scheduler {
         let duty = if n_dev == 0 {
             0.0
         } else {
-            ((self.slot.0 - self.sweep.switch_period.0).max(0.0) / (self.slot.0 * n_dev as f64))
-                .clamp(0.0, 1.0)
+            let slot = TIME_DIVISION_SLOT.0;
+            ((slot - self.sweep.switch_period.0).max(0.0) / (slot * n_dev as f64)).clamp(0.0, 1.0)
         };
         let per_device: Vec<DeviceService> = fleet
             .devices()
